@@ -42,13 +42,13 @@ heuristic tails and results flagged uncertified.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .errors import PoleProximity, ToleranceUnreachable, UncertifiedOnly
 from .lucas import (
@@ -58,6 +58,9 @@ from .lucas import (
     is_certified_spec,
     seq_value,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 GUARD_EPS = 1e-6
 # Poles with |n| beyond this sit within ~1e-26 of an accumulation point, so
@@ -121,7 +124,6 @@ def _magnitude_bits(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-@functools.lru_cache(maxsize=None)
 def _coeffs_float(spec: SeriesSpec, j: int) -> tuple[float, float] | None:
     """Double-rounded (c1, c0), or None once either value outgrows doubles.
 
@@ -137,25 +139,91 @@ def _coeffs_float(spec: SeriesSpec, j: int) -> tuple[float, float] | None:
     return float(c1), float(c0)
 
 
-def _term(spec: SeriesSpec, j: int, z: complex) -> complex:
-    pair = _coeffs_float(spec, j)
-    if pair is None:
-        return 0.0 + 0.0j
-    den = pair[0] * z + pair[1]
-    if den == 0:
-        raise PoleProximity(f"term {j} denominator vanishes exactly at z = {z}")
-    return den ** (-spec.weight)
+class _Kernel:
+    """Per-spec evaluation state: coefficient rows and tail parameters.
+
+    `rows` is a pair of tuples (neg, pos) with neg[k] the double-rounded
+    coefficients of index -k and pos[k] those of index k.  The pair grows by
+    building longer tuples and swapping them in as one attribute, so a
+    reader never sees rows of mismatched length and no lock is needed;
+    racing growers only recompute identical values.
+    """
+
+    __slots__ = ("spec", "certified", "rows", "tails")
+
+    def __init__(self, spec: SeriesSpec) -> None:
+        self.spec = spec
+        self.certified = is_certified_spec(spec.seq)
+        self.rows: tuple[tuple, tuple] = ((), ())
+        # edge -> (neg side, pos side) parameters of `_tail_params`
+        self.tails: dict[int, tuple[tuple, tuple]] = {}
+
+    def rows_upto(self, n: int) -> tuple[tuple, tuple]:
+        """Coefficient rows covering every |j| < n."""
+        rows = self.rows
+        have = len(rows[0])
+        if have < n:
+            spec, (neg, pos) = self.spec, rows
+            rows = (
+                neg + tuple(_coeffs_float(spec, -k) for k in range(have, n)),
+                pos + tuple(_coeffs_float(spec, k) for k in range(have, n)),
+            )
+            self.rows = rows
+        return rows
+
+    def tail_params(self, edge: int) -> tuple[tuple, tuple]:
+        params = self.tails.get(edge)
+        if params is None:
+            params = (_tail_params(self.spec, edge, "neg"), _tail_params(self.spec, edge, "pos"))
+            self.tails[edge] = params
+        return params
 
 
-def _kahan(terms) -> complex:
-    """Compensated accumulation; the term order is part of the contract."""
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for t in terms:
-        y = t - comp
-        tentative = total + y
-        comp = (tentative - total) - y
-        total = tentative
+_KERNELS: dict[SeriesSpec, _Kernel] = {}
+
+
+def _kernel(spec: SeriesSpec) -> _Kernel:
+    kern = _KERNELS.get(spec)
+    if kern is None:
+        kern = _KERNELS.setdefault(spec, _Kernel(spec))
+    return kern
+
+
+def _power_error(pairs, z: complex, j0: int, step: int) -> Exception:
+    """The package error for a failed `(c1*z + c0) ** -m` over `pairs`,
+    where pairs[k] belongs to index j0 + step*k.
+
+    An exactly vanishing denominator is a pole; any other failure is a
+    term beyond double range (overflow, or an underflowing power that the
+    reciprocal then divides by).
+    """
+    for k, pair in enumerate(pairs):
+        if pair is not None and pair[0] * z + pair[1] == 0:
+            return PoleProximity(f"term {j0 + step * k} denominator vanishes exactly at z = {z}")
+    return ToleranceUnreachable("terms overflow; series looks divergent here")
+
+
+def _half_sum(pairs, z: complex, m: int, j0: int, step: int) -> complex:
+    """Compensated sum of (c1*z + c0) ** -m over `pairs`, in order.
+
+    The term order is part of the contract.  A None pair is an exact zero
+    term; it stays in the loop because it still moves the compensation.
+    """
+    e = -m
+    total = comp = 0j
+    try:
+        for pair in pairs:
+            if pair is None:
+                t = 0j
+            else:
+                c1, c0 = pair
+                t = (c1 * z + c0) ** e
+            y = t - comp
+            tentative = total + y
+            comp = (tentative - total) - y
+            total = tentative
+    except (ZeroDivisionError, OverflowError):
+        raise _power_error(pairs, z, j0, step) from None
     return total
 
 
@@ -188,16 +256,20 @@ def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _guard_points(seq: SequenceSpec, depth: int) -> tuple[complex, ...]:
+def _guard_points(seq: SequenceSpec, depth: int) -> tuple[float, ...]:
+    """Sorted guarded poles plus accumulation points; all of them are real."""
     pm = pole_map(seq, -depth, depth)
-    points = [complex(p) for p in pm.poles]
-    points.extend(complex(a) for a in pm.accumulation_points)
-    return tuple(points)
+    return tuple(sorted([float(p) for p in pm.poles] + list(pm.accumulation_points)))
 
 
 def pole_distance(seq: SequenceSpec, z: complex, depth: int = GUARD_DEPTH) -> float:
-    """Distance from z to the guarded pole set plus accumulation points."""
-    return min(abs(z - p) for p in _guard_points(seq, depth))
+    """Distance from z to the guarded pole set plus accumulation points.
+
+    The points are real, so the nearest one neighbours Re(z) in sort order.
+    """
+    points = _guard_points(seq, depth)
+    i = bisect.bisect_left(points, z.real)
+    return min(abs(z - p) for p in points[max(i - 1, 0):i + 1])
 
 
 def _check_guard(seq: SequenceSpec, z: complex, eps: float) -> None:
@@ -232,10 +304,10 @@ def _log_abs_int(value: Fraction) -> float:
     return math.log(abs(value.numerator)) - math.log(value.denominator)
 
 
-@functools.lru_cache(maxsize=None)
-def _tail_params(spec: SeriesSpec, edge: int, side: str) -> tuple[float, float, float, float]:
+def _tail_params(spec: SeriesSpec, edge: int, side: str) -> tuple[float, float, float, float | None]:
     """z-independent pieces of the certified side tail at a window edge:
-    widened cluster endpoints, log of the scale value, and growth ratio g.
+    widened cluster endpoints, log of the scale value, and
+    log1p(-g**-m) for the growth ratio g (None when g <= 1).
 
     The ratio interval is taken at edge-1 so it also covers the swapped
     variant, whose coefficient indices trail by one.
@@ -256,22 +328,22 @@ def _tail_params(spec: SeriesSpec, edge: int, side: str) -> tuple[float, float, 
         scale = seq_value(seq, edge + 1)
 
     c_lo, c_hi = _widened(min(cluster), max(cluster))
-    return c_lo, c_hi, _log_abs_int(scale), g
+    log_geometric = math.log1p(-(g**-spec.weight)) if g > 1.0 else None
+    return c_lo, c_hi, _log_abs_int(scale), log_geometric
 
 
-def _certified_side_tail(spec: SeriesSpec, z: complex, edge: int, side: str) -> float:
-    """Bound the omitted-mass on one side; `edge` is the first omitted |index|.
+def _certified_side_tail(params, z: complex, m: int) -> float:
+    """Bound the omitted mass on one side from its `_tail_params`.
 
     Sound for b = -1, a != 0 per the envelope in the module docstring.
     """
-    c_lo, c_hi, log_scale, g = _tail_params(spec, edge, side)
-    if g <= 1.0:
+    c_lo, c_hi, log_scale, log_geometric = params
+    if log_geometric is None:
         return math.inf
     d = _interval_distance(z, c_lo, c_hi) * (1.0 - 1e-12)
     if d <= 0.0:
         return math.inf
-    m = spec.weight
-    log_tail = -m * (math.log(d) + log_scale) - math.log1p(-(g**-m))
+    log_tail = -m * (math.log(d) + log_scale) - log_geometric
     if log_tail < -745.0:
         return 0.0
     if log_tail > 709.0:
@@ -279,10 +351,14 @@ def _certified_side_tail(spec: SeriesSpec, z: complex, edge: int, side: str) -> 
     return math.exp(log_tail)
 
 
-def _heuristic_side_tail(spec: SeriesSpec, z: complex, edge: int, side: str) -> float:
-    """Geometric extrapolation of the first omitted terms; no soundness claim."""
-    sign = 1 if side == "pos" else -1
-    mags = [abs(_term(spec, sign * (edge + i), z)) for i in range(3)]
+def _heuristic_side_tail(row: tuple, z: complex, m: int, edge: int, sign: int) -> float:
+    """Geometric extrapolation of the first omitted terms (indices
+    sign*edge, sign*(edge+1), sign*(edge+2) of `row`); no soundness claim."""
+    pairs = row[edge:edge + 3]
+    try:
+        mags = [0.0 if p is None else abs((p[0] * z + p[1]) ** -m) for p in pairs]
+    except (ZeroDivisionError, OverflowError):
+        raise _power_error(pairs, z, sign * edge, sign) from None
     if mags[0] == 0.0:
         return 0.0 if max(mags) == 0.0 else math.inf
     q = mags[1] / mags[0]
@@ -293,19 +369,25 @@ def _heuristic_side_tail(spec: SeriesSpec, z: complex, edge: int, side: str) -> 
     return mags[0] / (1.0 - q)
 
 
-def _plan_window(spec: SeriesSpec, z: complex, tol: float, certified: bool):
-    side_tail = _certified_side_tail if certified else _heuristic_side_tail
+def _plan_window(kern: _Kernel, z: complex, tol: float) -> tuple[int, float, float]:
+    m = kern.spec.weight
     J = START_WINDOW
     while True:
-        neg = side_tail(spec, z, J + 1, "neg")
-        pos = side_tail(spec, z, J + 1, "pos")
+        if kern.certified:
+            neg_params, pos_params = kern.tail_params(J + 1)
+            neg = _certified_side_tail(neg_params, z, m)
+            pos = _certified_side_tail(pos_params, z, m)
+        else:
+            neg_row, pos_row = kern.rows_upto(J + 4)
+            neg = _heuristic_side_tail(neg_row, z, m, J + 1, -1)
+            pos = _heuristic_side_tail(pos_row, z, m, J + 1, 1)
         if neg <= tol / 2 and pos <= tol / 2:
             return J, neg, pos
         if J >= MAX_WINDOW:
             raise ToleranceUnreachable(
                 f"window cap {MAX_WINDOW} hit with side tails ({neg:.3e}, {pos:.3e}) > {tol:.1e}/2"
             )
-        if not certified and J >= 256 and math.isinf(neg + pos):
+        if not kern.certified and J >= 256 and math.isinf(neg + pos):
             # Divergent exploration series: terms are not shrinking.
             raise ToleranceUnreachable("omitted terms are not decaying; series looks divergent here")
         J = min(J * 2, MAX_WINDOW)
@@ -333,13 +415,15 @@ def evaluate_halves(
     if not (tol >= MIN_TOL):
         raise ValueError(f"tol must be >= {MIN_TOL}")
     z = complex(z)
-    certified = is_certified_spec(spec.seq)
+    kern = _kernel(spec)
+    certified = kern.certified
     if require_certified and not certified:
         raise UncertifiedOnly(f"no certified tail bounds for {spec.seq}")
     _check_guard(spec.seq, z, guard_eps)
-    J, neg_tail, pos_tail = _plan_window(spec, z, tol, certified)
-    minus = _kahan(_term(spec, j, z) for j in range(-J, 1))
-    plus = _kahan(_term(spec, j, z) for j in range(J, 0, -1))
+    J, neg_tail, pos_tail = _plan_window(kern, z, tol)
+    neg, pos = kern.rows_upto(J + 1)
+    minus = _half_sum(neg[J::-1], z, spec.weight, -J, 1)
+    plus = _half_sum(pos[J:0:-1], z, spec.weight, J, -1)
     return (
         SeriesResult(minus, neg_tail, -J, 0, certified),
         SeriesResult(plus, pos_tail, 1, J, certified),
@@ -380,6 +464,8 @@ def _oracle_mp(spec: SeriesSpec, z: complex, J: int) -> mpmath.mpc:
     """Plain symmetric partial sum over |j| <= J at 50 significant digits."""
     if J > ORACLE_CAP:
         raise ValueError(f"oracle window capped at {ORACLE_CAP}")
+    import mpmath
+
     with mpmath.workdps(50):
         zz = mpmath.mpc(z)
         total = mpmath.mpc(0)

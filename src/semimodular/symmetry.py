@@ -130,8 +130,11 @@ def check_identity(
     The weight must be even (2k); mirror checks require the mirror
     parameter to equal the sequence's coefficient a unless `force_pairing`
     is set (the deliberate-mismatch mode used by the negative control).
-    Only b = -1 sequences carry certified bounds, so others are rejected.
+    Only b = -1 sequences carry certified bounds, so others are rejected,
+    and so is an empty scan (n_samples < 1), which would pass vacuously.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if spec.weight % 2 != 0:
         raise OddWeight(f"identity checks need even weight, got {spec.weight}")
     if k is not None and 2 * k != spec.weight:

@@ -55,13 +55,14 @@ def test_eval_usage_errors(capsys):
 
 def test_eval_tolerance_unreachable_exit(capsys):
     # (3, 2): the negatively indexed terms tend to a constant, so the
-    # heuristic tails never meet any tolerance.
-    code, out = run_cli(
-        capsys,
-        ["eval", "--seq", "lucas-first:3:2", "--uncertified", "--weight", "4", "--z", "0.3,0.7"],
-    )
-    assert code == 3
-    assert out == ""
+    # heuristic tails never meet any tolerance.  second:(5, 6): the terms
+    # grow past double range, which ends the same way, with one line.
+    for seq in ("lucas-first:3:2", "lucas-second:5:6"):
+        code = main(["eval", "--seq", seq, "--uncertified", "--weight", "4", "--z", "0.3,0.7"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_eval_tol_floor_is_usage_error(capsys):
@@ -108,6 +109,15 @@ def test_check_mirror_general_a(capsys):
     )
     assert code == 0
     assert records(out)[-1]["pass"] is True
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_rejects_empty_scan(capsys, samples):
+    code, out = run_cli(
+        capsys, ["check", "--identity", "inversion", "--seq", "fib", "--samples", samples]
+    )
+    assert code == 64
+    assert out == ""
 
 
 def test_check_negative_control(capsys):

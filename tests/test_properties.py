@@ -17,7 +17,8 @@ from semimodular import (
     pole_map,
     seq_value,
 )
-from semimodular.series import _coeffs
+from semimodular.errors import SemimodularError
+from semimodular.series import _HUGE_BITS, Variant, _coeffs
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -87,3 +88,64 @@ def test_mirror_law_property(re, im):
     rhs = evaluate(spec, z, 1e-10)
     tol = lhs.tail_bound + rhs.tail_bound + 1e-9 * (1 + abs(z)) ** 4
     assert abs(lhs.value - rhs.value) <= tol
+
+
+def _reference_term(spec, j, z):
+    # The scalar path: float()-rounded exact coefficients, zero past the
+    # magnitude gate, one power per term.
+    c1, c0 = _coeffs(spec, j)
+    bits = max(x.numerator.bit_length() - x.denominator.bit_length() for x in (c1, c0))
+    if bits > _HUGE_BITS:
+        return 0.0 + 0.0j
+    return (float(c1) * z + float(c0)) ** -spec.weight
+
+
+def _reference_kahan(terms):
+    total = 0.0 + 0.0j
+    comp = 0.0 + 0.0j
+    for t in terms:
+        y = t - comp
+        tentative = total + y
+        comp = (tentative - total) - y
+        total = tentative
+    return total
+
+
+KERNEL_SPECS = [
+    SeriesSpec(seq, w, variant)
+    for seq, variant in [
+        (FIBONACCI, Variant.STANDARD),
+        (FIBONACCI, Variant.FOOTNOTE),
+        (LUCAS_NUMBERS, Variant.STANDARD),
+        (SequenceSpec(2, -1, Kind.FIRST), Variant.STANDARD),
+        (SequenceSpec(-3, -1, Kind.SECOND), Variant.STANDARD),
+        (SequenceSpec(3, 1, Kind.FIRST), Variant.STANDARD),
+        (SequenceSpec(-4, 1, Kind.SECOND), Variant.STANDARD),
+    ]
+    for w in (2, 3, 4, 7, 12)
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(KERNEL_SPECS),
+    re=st.floats(min_value=-3, max_value=3, allow_nan=False),
+    im=st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2, allow_nan=False)),
+    tol=st.sampled_from([1e-13, 1e-10, 1e-6]),
+)
+def test_kernel_matches_scalar_reference(spec, re, im, tol):
+    # The evaluation kernel must reproduce the scalar term-by-term path bit
+    # for bit, and the bisect guard the brute-force distance over all points.
+    z = complex(re, im)
+    pm = pole_map(spec.seq, -64, 64)
+    points = [complex(p) for p in pm.poles] + [complex(a) for a in pm.accumulation_points]
+    assert pole_distance(spec.seq, z) == min(abs(z - p) for p in points)
+    try:
+        minus, plus = evaluate_halves(spec, z, tol)
+    except SemimodularError:
+        return
+    J = plus.j_max
+    assert minus.j_min == -J
+    assert minus.value == _reference_kahan(_reference_term(spec, j, z) for j in range(-J, 1))
+    assert plus.value == _reference_kahan(_reference_term(spec, j, z) for j in range(J, 0, -1))
+    assert evaluate(spec, z, tol).value == minus.value + plus.value
