@@ -36,12 +36,10 @@ from .lucas import (
     GrowthInfo,
     Kind,
     LUCAS_NUMBERS,
-    SeqValue,
     SequenceSpec,
     growth_info,
     is_certified_spec,
     seq_value,
-    term,
 )
 from .series import (
     GUARD_EPS,

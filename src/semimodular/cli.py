@@ -3,7 +3,9 @@
 Every subcommand writes json-lines records (schema field "schema": 1) to
 stdout and diagnostics to stderr.  Identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 failed identity check, 2 pole proximity,
-3 tolerance unreachable, 64 usage, 74 output I/O failure.
+3 tolerance unreachable, 64 usage (a bad option value, or any other package
+error), 74 output I/O failure.  Every error writes a one-line message to
+stderr, after the usage text when an option is malformed.
 """
 
 from __future__ import annotations
@@ -15,16 +17,9 @@ import math
 import re
 import sys
 
-from .errors import (
-    InvalidPairing,
-    MobiusPole,
-    OddWeight,
-    PoleProximity,
-    ToleranceUnreachable,
-    UncertifiedOnly,
-)
+from .errors import PoleProximity, SemimodularError, ToleranceUnreachable, UncertifiedOnly
 from .gl2 import fib_matrix_check, generator_identities, P, S
-from .lucas import FIBONACCI, LUCAS_NUMBERS, Kind, SequenceSpec
+from .lucas import FIBONACCI, INDEX_CAP, LUCAS_NUMBERS, Kind, SequenceSpec
 from .series import (
     GUARD_EPS,
     SeriesSpec,
@@ -60,57 +55,67 @@ def _emit(args, record: dict, human: str) -> None:
         print(json.dumps(record, separators=(",", ":"), allow_nan=False))
 
 
-def _parse_seq(text: str, uncertified: bool, parser: _Parser) -> SequenceSpec:
+def _seq(text: str) -> SequenceSpec:
     if text == "fib":
         return FIBONACCI
     if text == "lucas":
         return LUCAS_NUMBERS
     m = _SEQ_GRAMMAR.match(text)
     if m is None:
-        parser.error(f"bad sequence selector {text!r} (use fib, lucas, lucas-first:a:b, lucas-second:a:b)")
-    kind = Kind.FIRST if m.group(1) == "first" else Kind.SECOND
-    a, b = int(m.group(2)), int(m.group(3))
+        raise argparse.ArgumentTypeError(f"bad sequence selector {text!r} (use fib, lucas, lucas-first:a:b, lucas-second:a:b)")
+    a = int(m.group(2))
     if a == 0:
-        parser.error("a = 0 is not allowed (the mirror family needs a nonzero coefficient)")
-    if b == 0:
-        parser.error("b = 0 is not allowed (the series diverges)")
-    spec = SequenceSpec(a, b, kind)
-    if b != -1 and not uncertified:
-        parser.error("b != -1 is exploration-only; pass --uncertified to evaluate anyway")
-    return spec
-
-
-def _parse_z(text: str, parser: _Parser) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        parser.error(f"bad complex literal {text!r}; expected RE,IM")
+        raise argparse.ArgumentTypeError("a = 0 is not allowed (the mirror family needs a nonzero coefficient)")
     try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        parser.error(f"bad complex literal {text!r}; expected RE,IM")
+        return SequenceSpec(a, int(m.group(3)), Kind(m.group(1)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_window(text: str, parser: _Parser) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        parser.error(f"bad window {text!r}; expected x0,x1,y0,y1")
+def _z(text: str) -> complex:
     try:
-        x0, x1, y0, y1 = (float(p) for p in parts)
+        re_part, im_part = text.split(",")
+        return complex(float(re_part), float(im_part))
     except ValueError:
-        parser.error(f"bad window {text!r}; expected x0,x1,y0,y1")
+        raise argparse.ArgumentTypeError(f"bad complex literal {text!r}; expected RE,IM") from None
+
+
+def _window(text: str) -> tuple[float, float, float, float]:
+    try:
+        x0, x1, y0, y1 = (float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad window {text!r}; expected x0,x1,y0,y1") from None
     if not (x0 < x1 and y0 < y1):
-        parser.error("window must satisfy x0 < x1 and y0 < y1")
+        raise argparse.ArgumentTypeError("window must satisfy x0 < x1 and y0 < y1")
     return x0, x1, y0, y1
 
 
-def _parse_res(text: str, parser: _Parser) -> tuple[int, int]:
+def _res(text: str) -> tuple[int, int]:
     m = re.match(r"(\d+)x(\d+)$", text)
     if m is None:
-        parser.error(f"bad resolution {text!r}; expected WxH")
+        raise argparse.ArgumentTypeError(f"bad resolution {text!r}; expected WxH")
     w, h = int(m.group(1)), int(m.group(2))
     if not (1 <= w <= 4096 and 1 <= h <= 4096):
-        parser.error("resolution out of range (1..4096 per axis)")
+        raise argparse.ArgumentTypeError("resolution out of range (1..4096 per axis)")
     return w, h
+
+
+def _fib_power(text: str) -> int:
+    # The cap is the index cap `seq_value` enforces on F(n).
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad power {text!r}; expected an integer") from None
+    if not 1 <= n <= INDEX_CAP:
+        raise argparse.ArgumentTypeError(f"needs 1 <= N <= {INDEX_CAP}, got {n}")
+    return n
+
+
+def _gated_seq(args) -> SequenceSpec:
+    """The selected sequence; b != -1 ones are exploration-only."""
+    if args.seq.b != -1 and not args.uncertified:
+        raise UncertifiedOnly("b != -1 is exploration-only; pass --uncertified to evaluate anyway")
+    return args.seq
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +123,9 @@ def _parse_res(text: str, parser: _Parser) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(args, parser) -> int:
-    seq = _parse_seq(args.seq, args.uncertified, parser)
-    variant = Variant.FOOTNOTE if args.variant == "footnote" else Variant.STANDARD
-    if variant is Variant.FOOTNOTE and seq != FIBONACCI:
-        parser.error("--variant footnote requires --seq fib")
-    spec = SeriesSpec(seq, args.weight, variant)
-    z = _parse_z(args.z, parser)
-    res = evaluate(spec, z, args.tol, guard_eps=args.guard_eps)
+def _cmd_eval(args) -> int:
+    spec = SeriesSpec(_gated_seq(args), args.weight, Variant(args.variant))
+    res = evaluate(spec, args.z, args.tol, guard_eps=args.guard_eps)
     _emit(
         args,
         {
@@ -144,10 +144,9 @@ def _cmd_eval(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, parser) -> int:
-    seq = _parse_seq(args.seq, args.uncertified, parser)
-    variant = Variant.FOOTNOTE if args.variant == "footnote" else Variant.STANDARD
-    spec = SeriesSpec(seq, 2 * args.k, variant)
+def _cmd_check(args) -> int:
+    seq = args.seq
+    spec = SeriesSpec(seq, 2 * args.k, Variant(args.variant))
     if args.identity == "inversion":
         kind = InversionS()
         force = False
@@ -198,9 +197,8 @@ def _cmd_check(args, parser) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_poles(args, parser) -> int:
-    seq = _parse_seq(args.seq, args.uncertified, parser)
-    pm = pole_map(seq, args.nmin, args.nmax)
+def _cmd_poles(args) -> int:
+    pm = pole_map(_gated_seq(args), args.nmin, args.nmax)
     for p in pm.poles:
         _emit(
             args,
@@ -225,11 +223,9 @@ def _cmd_poles(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_matrix(args, parser) -> int:
+def _cmd_matrix(args) -> int:
     if args.fib_power is not None:
         n = args.fib_power
-        if n < 1:
-            parser.error("--fib-power needs n >= 1")
         mat = (P * S).power(n)
         _emit(
             args,
@@ -302,19 +298,12 @@ def render_grid(
     return bytes(out)
 
 
-def _cmd_grid(args, parser) -> int:
-    seq = _parse_seq(args.seq, args.uncertified, parser)
-    variant = Variant.FOOTNOTE if args.variant == "footnote" else Variant.STANDARD
-    spec = SeriesSpec(seq, args.weight, variant)
-    window = _parse_window(args.window, parser)
-    width, height = _parse_res(args.res, parser)
-    data = render_grid(spec, window, width, height, args.tol, args.guard_eps)
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        print(f"semimodular: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _cmd_grid(args) -> int:
+    spec = SeriesSpec(_gated_seq(args), args.weight, Variant(args.variant))
+    width, height = args.res
+    data = render_grid(spec, args.window, width, height, args.tol, args.guard_eps)
+    with open(args.out, "wb") as fh:
+        fh.write(data)
     _emit(
         args,
         {
@@ -334,10 +323,12 @@ def _cmd_grid(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_seq_flags(sub) -> None:
-    sub.add_argument("--seq", required=True, help="fib | lucas | lucas-first:a:b | lucas-second:a:b")
-    sub.add_argument("--uncertified", action="store_true", help="allow b != -1 exploration sequences")
-    sub.add_argument("--variant", choices=["standard", "footnote"], default="standard")
+def _add_seq_flags(sub, *, uncertified: bool = True, variant: bool = True) -> None:
+    sub.add_argument("--seq", type=_seq, required=True, help="fib | lucas | lucas-first:a:b | lucas-second:a:b")
+    if uncertified:
+        sub.add_argument("--uncertified", action="store_true", help="allow b != -1 exploration sequences")
+    if variant:
+        sub.add_argument("--variant", choices=["standard", "footnote"], default="standard")
     _add_format_flag(sub)
 
 
@@ -352,13 +343,13 @@ def build_parser() -> _Parser:
     p_eval = subs.add_parser("eval", help="evaluate a series at one point")
     _add_seq_flags(p_eval)
     p_eval.add_argument("--weight", type=int, required=True)
-    p_eval.add_argument("--z", required=True, help="RE,IM")
+    p_eval.add_argument("--z", type=_z, required=True, help="RE,IM")
     p_eval.add_argument("--tol", type=float, default=1e-10)
     p_eval.add_argument("--guard-eps", type=float, default=GUARD_EPS)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_check = subs.add_parser("check", help="residual-scan one invariance law")
-    _add_seq_flags(p_check)
+    _add_seq_flags(p_check, uncertified=False)
     p_check.add_argument("--identity", choices=["inversion", "mirror"], required=True)
     p_check.add_argument("--k", type=int, default=1, help="half-weight; the series weight is 2k")
     p_check.add_argument("--samples", type=int, default=100)
@@ -368,7 +359,7 @@ def build_parser() -> _Parser:
     p_check.set_defaults(func=_cmd_check)
 
     p_poles = subs.add_parser("poles", help="exact pole ratios over an index range")
-    _add_seq_flags(p_poles)
+    _add_seq_flags(p_poles, variant=False)
     p_poles.add_argument("--nmin", type=int, required=True)
     p_poles.add_argument("--nmax", type=int, required=True)
     p_poles.set_defaults(func=_cmd_poles)
@@ -376,15 +367,15 @@ def build_parser() -> _Parser:
     p_matrix = subs.add_parser("matrix", help="verify generator identities or print a Fibonacci-matrix power")
     group = p_matrix.add_mutually_exclusive_group(required=True)
     group.add_argument("--verify", action="store_true")
-    group.add_argument("--fib-power", type=int, default=None, metavar="N")
+    group.add_argument("--fib-power", type=_fib_power, default=None, metavar="N")
     _add_format_flag(p_matrix)
     p_matrix.set_defaults(func=_cmd_matrix)
 
     p_grid = subs.add_parser("grid", help="render a domain-colored PPM raster")
     _add_seq_flags(p_grid)
     p_grid.add_argument("--weight", type=int, required=True)
-    p_grid.add_argument("--window", required=True, help="x0,x1,y0,y1")
-    p_grid.add_argument("--res", required=True, help="WxH")
+    p_grid.add_argument("--window", type=_window, required=True, help="x0,x1,y0,y1")
+    p_grid.add_argument("--res", type=_res, required=True, help="WxH")
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--tol", type=float, default=1e-8)
     p_grid.add_argument("--guard-eps", type=float, default=GUARD_EPS)
@@ -394,28 +385,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
-    except SystemExit as exc:
-        # Late usage errors raised through parser.error inside a subcommand.
-        return int(exc.code or 0)
-    except PoleProximity as exc:
+        return args.func(args)
+    except (SemimodularError, ValueError, OSError) as exc:
         print(f"semimodular: {exc}", file=sys.stderr)
-        return EXIT_POLE
-    except ToleranceUnreachable as exc:
-        print(f"semimodular: {exc}", file=sys.stderr)
-        return EXIT_TOL
-    except (UncertifiedOnly, InvalidPairing, OddWeight, MobiusPole, ValueError) as exc:
-        print(f"semimodular: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"semimodular: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, PoleProximity):
+            return EXIT_POLE
+        if isinstance(exc, ToleranceUnreachable):
+            return EXIT_TOL
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 def run() -> None:

@@ -75,14 +75,6 @@ FIBONACCI = SequenceSpec(1, -1, Kind.FIRST)
 LUCAS_NUMBERS = SequenceSpec(1, -1, Kind.SECOND)
 
 
-@dataclass(frozen=True)
-class SeqValue:
-    """One exact sequence value; denominator is 1 whenever b = +-1."""
-
-    index: int
-    value: Fraction
-
-
 _TABLES: dict[SequenceSpec, list[int]] = {}
 _LOCK = threading.Lock()
 
@@ -113,11 +105,6 @@ def seq_value(spec: SequenceSpec, n: int) -> Fraction:
     return Fraction(sign * _table(spec, m)[m], spec.b**m)
 
 
-def term(spec: SequenceSpec, n: int) -> SeqValue:
-    """Sequence value at index n, packaged with its index."""
-    return SeqValue(n, seq_value(spec, n))
-
-
 @dataclass(frozen=True)
 class GrowthInfo:
     """Dominant-root data plus an exact interval holding the ratios L(j-1)/L(j).
@@ -129,15 +116,10 @@ class GrowthInfo:
     """
 
     dominant_root: float
-    limit_ratio_pos: float
     limit_ratio_neg: float
     ratio_lo: Fraction
     ratio_hi: Fraction
     certified: bool
-
-    @property
-    def ratio_interval(self) -> tuple[Fraction, Fraction]:
-        return (self.ratio_lo, self.ratio_hi)
 
     def min_abs_ratio(self) -> Fraction:
         """Smallest |x| over the interval; 0 if it straddles the origin."""
@@ -154,7 +136,7 @@ def is_certified_spec(spec: SequenceSpec) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def growth_info(spec: SequenceSpec, J: int, window: int = RATIO_WINDOW) -> GrowthInfo:
+def growth_info(spec: SequenceSpec, J: int) -> GrowthInfo:
     """Dominant root and ratio interval starting at index J >= 3.
 
     Raises RatioBoundUnavailable when x**2 = a*x - b has no strictly
@@ -174,7 +156,7 @@ def growth_info(spec: SequenceSpec, J: int, window: int = RATIO_WINDOW) -> Growt
         raise RatioBoundUnavailable("dominant root does not exceed modulus 1")
 
     ratios = []
-    for j in range(J, J + window + 1):
+    for j in range(J, J + RATIO_WINDOW + 1):
         denom = seq_value(spec, j)
         if denom == 0:
             continue
@@ -185,7 +167,6 @@ def growth_info(spec: SequenceSpec, J: int, window: int = RATIO_WINDOW) -> Growt
     certified = is_certified_spec(spec) and (lo > 0 or hi < 0)
     return GrowthInfo(
         dominant_root=root,
-        limit_ratio_pos=root,
         limit_ratio_neg=-1.0 / root,
         ratio_lo=lo,
         ratio_hi=hi,

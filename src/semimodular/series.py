@@ -256,18 +256,18 @@ def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _guard_points(seq: SequenceSpec, depth: int) -> tuple[float, ...]:
+def _guard_points(seq: SequenceSpec) -> tuple[float, ...]:
     """Sorted guarded poles plus accumulation points; all of them are real."""
-    pm = pole_map(seq, -depth, depth)
+    pm = pole_map(seq, -GUARD_DEPTH, GUARD_DEPTH)
     return tuple(sorted([float(p) for p in pm.poles] + list(pm.accumulation_points)))
 
 
-def pole_distance(seq: SequenceSpec, z: complex, depth: int = GUARD_DEPTH) -> float:
+def pole_distance(seq: SequenceSpec, z: complex) -> float:
     """Distance from z to the guarded pole set plus accumulation points.
 
     The points are real, so the nearest one neighbours Re(z) in sort order.
     """
-    points = _guard_points(seq, depth)
+    points = _guard_points(seq)
     i = bisect.bisect_left(points, z.real)
     return min(abs(z - p) for p in points[max(i - 1, 0):i + 1])
 
@@ -410,11 +410,16 @@ def evaluate_halves(
 
     Each half is accumulated from its far end inward (ascending term
     magnitude) with Kahan compensation; `evaluate` adds the two half values,
-    so the decomposition identity holds bit-exactly.
+    so the decomposition identity holds bit-exactly.  z must be finite and
+    guard_eps >= 0 (0 turns the guard off); anything else is a ValueError.
     """
     if not (tol >= MIN_TOL):
         raise ValueError(f"tol must be >= {MIN_TOL}")
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z}")
+    if not (guard_eps >= 0):
+        raise ValueError(f"guard_eps must be >= 0, got {guard_eps}")
     kern = _kernel(spec)
     certified = kern.certified
     if require_certified and not certified:

@@ -170,11 +170,7 @@ def check_identity(
         lhs = evaluate(spec, image, eval_tol)
         rhs = evaluate(spec, z, eval_tol)
         residual = abs(factor * lhs.value - rhs.value)
-        tolerance = (
-            rhs.tail_bound
-            + abs(factor) * lhs.tail_bound
-            + FLOOR_COEFF * (1.0 + abs(z)) ** weight
-        )
+        tolerance = rhs.tail_bound + abs(factor) * lhs.tail_bound + _floor(z, weight)
         points.append(z)
         residuals.append(residual)
         tolerances.append(tolerance)

@@ -1,12 +1,15 @@
 """CLI records, exit codes, grammar, and byte determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semimodular.cli import main, render_grid, _pixel_color
-from semimodular import FIBONACCI, SeriesSpec, evaluate
+from semimodular import FIBONACCI, INDEX_CAP, SeriesSpec, evaluate
 
 
 def run_cli(capsys, args):
@@ -285,3 +288,130 @@ def test_no_stray_stdout_on_errors(capsys):
     assert code == 2 and out == ""
     code, out = run_cli(capsys, ["eval", "--seq", "bogus", "--weight", "4", "--z", "0,0"])
     assert code == 64 and out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["poles", "--seq", "fib", "--nmin", "-200000", "--nmax", "3"],
+        ["eval", "--seq", "fib", "--weight", "4", "--z", "nan,0"],
+        ["eval", "--seq", "fib", "--weight", "4", "--z", "inf,1"],
+        ["eval", "--seq", "fib", "--weight", "4", "--z", "1.0,0.0", "--guard-eps", "nan"],
+        ["eval", "--seq", "fib", "--weight", "4", "--z", "0.3,0.7", "--guard-eps", "-1"],
+        ["grid", "--seq", "fib", "--weight", "4", "--window=-1,1,-1,1", "--res", "2x2", "--guard-eps", "nan"],
+        ["grid", "--seq", "fib", "--weight", "4", "--window=-1,1,-1,1", "--res", "2x2", "--guard-eps", "-1"],
+    ],
+)
+def test_rejected_values_exit_64_with_one_line(tmp_path, capsys, args):
+    out_path = tmp_path / "never.ppm"
+    if args[0] == "grid":
+        args = args + ["--out", str(out_path)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["matrix", "--fib-power", "0"], "argument --fib-power"),
+        (["matrix", "--fib-power", str(INDEX_CAP + 1)], "argument --fib-power"),
+        (["poles", "--seq", "fib", "--nmin", "1", "--nmax", "3", "--variant", "standard"], "unrecognized"),
+        (["check", "--identity", "inversion", "--seq", "fib", "--samples", "2", "--uncertified"], "unrecognized"),
+    ],
+)
+def test_out_of_range_and_removed_options_exit_64(capsys, args, message):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[-1]
+
+
+# Argv fuzz: every input ends in a documented exit code, never a traceback.
+# Each part is drawn valid three times in four, so that whole commands run
+# too.  Pole indices stay within +-200 and scans within 5 samples: a
+# sequence table to the index cap holds about 400 MB.
+def _mostly(good, bad):
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+def _option(flag, good, bad):
+    return st.one_of(st.just([]), _mostly(good, bad).map(lambda v: [f"{flag}={v}"]))
+
+
+_COORD = _mostly(
+    st.floats(-3, 3, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "x", ""]),
+)
+_SELECTOR = _mostly(
+    st.one_of(
+        st.sampled_from(["fib", "lucas"]),
+        st.builds(
+            "lucas-{}:{}:{}".format,
+            st.sampled_from(["first", "second"]),
+            st.sampled_from([1, 2, 3, -1, -2, 0]),
+            st.sampled_from([-1, -1, 2, -2, 1, 3, 0]),
+        ),
+    ),
+    st.sampled_from(["lucas-third:1:-1", "lucas-first:1", "bogus", ""]),
+).map(lambda sel: [f"--seq={sel}"])
+_UNCERTIFIED = st.sampled_from([[], ["--uncertified"]])
+_VARIANT = _option("--variant", st.just("standard"), st.sampled_from(["footnote", "other"]))
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+_ARGV = st.one_of(
+    _argv(
+        "eval",
+        _SELECTOR,
+        _mostly(st.integers(2, 8), st.integers(-1, 1)).map(lambda w: ["--weight", str(w)]),
+        _mostly(st.builds("{},{}".format, _COORD, _COORD), _COORD).map(lambda z: [f"--z={z}"]),
+        _option("--guard-eps", st.sampled_from(["0", "1e-3"]), st.sampled_from(["nan", "-1", "inf", "x"])),
+        _VARIANT,
+        _UNCERTIFIED,
+    ),
+    _argv(
+        "check",
+        _SELECTOR,
+        _mostly(st.sampled_from(["inversion", "mirror"]), st.just("other")).map(lambda i: ["--identity", i]),
+        _mostly(st.integers(1, 3), st.integers(-1, 0)).map(lambda k: ["--k", str(k)]),
+        _mostly(st.integers(1, 5), st.integers(-1, 0)).map(lambda n: ["--samples", str(n)]),
+        _option("--mirror-a", st.integers(-3, 3), st.just("x")),
+        _VARIANT,
+        st.sampled_from([[], [], [], ["--uncertified"]]),
+    ),
+    _argv(
+        "poles",
+        _SELECTOR,
+        st.integers(-200, 200).map(lambda n: [f"--nmin={n}"]),
+        st.integers(-200, 200).map(lambda n: [f"--nmax={n}"]),
+        _UNCERTIFIED,
+        st.sampled_from([[], [], [], ["--variant=standard"]]),
+    ),
+    _argv(
+        "matrix",
+        st.one_of(
+            st.just(["--verify"]),
+            _mostly(st.integers(-5, INDEX_CAP + 5), st.sampled_from(["x", "1.5"])).map(
+                lambda n: [f"--fib-power={n}"]
+            ),
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_argv_fuzz_documented_exits(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 64, 74}, argv
+    assert "Traceback" not in err.getvalue()

@@ -15,7 +15,6 @@ from semimodular import (
     SequenceSpec,
     growth_info,
     seq_value,
-    term,
 )
 
 PELL = SequenceSpec(2, -1, Kind.FIRST)
@@ -32,11 +31,11 @@ SPECS = [
 
 
 def test_preset_values():
-    assert term(FIBONACCI, 10).value == 55
-    assert term(FIBONACCI, -4).value == -3
-    assert term(LUCAS_NUMBERS, -3).value == -4
-    assert term(PELL, 4).value == 12
-    assert term(SequenceSpec(3, 2), -1).value == Fraction(-1, 2)
+    assert seq_value(FIBONACCI, 10) == 55
+    assert seq_value(FIBONACCI, -4) == -3
+    assert seq_value(LUCAS_NUMBERS, -3) == -4
+    assert seq_value(PELL, 4) == 12
+    assert seq_value(SequenceSpec(3, 2), -1) == Fraction(-1, 2)
 
 
 def test_seed_values():

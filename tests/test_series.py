@@ -106,6 +106,16 @@ def test_tol_floor():
         evaluate(F4, Z0, 1e-14)
 
 
+@pytest.mark.parametrize(
+    "z, guard_eps",
+    [(complex(math.nan, 0.0), 1e-6), (complex(math.inf, 1.0), 1e-6), (Z0, math.nan), (Z0, -1.0)],
+)
+def test_rejects_nonfinite_z_and_bad_guard(z, guard_eps):
+    # guard_eps = 0 stays valid: it switches the guard off.
+    with pytest.raises(ValueError):
+        evaluate_halves(F4, z, guard_eps=guard_eps)
+
+
 def test_determinism():
     a = evaluate(F4, Z0, 1e-12)
     b = evaluate(F4, Z0, 1e-12)
