@@ -3,9 +3,11 @@
 Every subcommand writes json-lines records (schema field "schema": 1) to
 stdout and diagnostics to stderr.  Identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 failed identity check, 2 pole proximity,
-3 tolerance unreachable, 64 usage (a bad option value, or any other package
-error), 74 output I/O failure.  Every error writes a one-line message to
-stderr, after the usage text when an option is malformed.
+3 tolerance unreachable (also terms that overflow double range at a huge
+z), 64 usage (a bad option value, or any other package error), 74 output
+I/O failure.  Every error writes a one-line message to stderr, after the
+usage text when an option is malformed.  `matrix --fib-power N` takes
+1 <= N <= 20576: larger powers have entries too long to print.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 from .errors import PoleProximity, SemimodularError, ToleranceUnreachable, UncertifiedOnly
 from .gl2 import fib_matrix_check, generator_identities, P, S
-from .lucas import FIBONACCI, INDEX_CAP, LUCAS_NUMBERS, Kind, SequenceSpec
+from .lucas import FIBONACCI, LUCAS_NUMBERS, Kind, SequenceSpec, is_certified_spec
 from .series import (
     GUARD_EPS,
     SeriesSpec,
@@ -38,6 +40,10 @@ EXIT_USAGE = 64
 EXIT_IO = 74
 
 _SEQ_GRAMMAR = re.compile(r"lucas-(first|second):(-?\d+):(-?\d+)$")
+
+# (PS)^N holds F(N+1), and F(20578) has 4301 digits, one past CPython's
+# default limit on int-to-str conversion, so no larger power can be printed.
+FIB_POWER_CAP = 20_576
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,19 +107,18 @@ def _res(text: str) -> tuple[int, int]:
 
 
 def _fib_power(text: str) -> int:
-    # The cap is the index cap `seq_value` enforces on F(n).
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad power {text!r}; expected an integer") from None
-    if not 1 <= n <= INDEX_CAP:
-        raise argparse.ArgumentTypeError(f"needs 1 <= N <= {INDEX_CAP}, got {n}")
+    if not 1 <= n <= FIB_POWER_CAP:
+        raise argparse.ArgumentTypeError(f"needs 1 <= N <= {FIB_POWER_CAP}, got {n}")
     return n
 
 
 def _gated_seq(args) -> SequenceSpec:
-    """The selected sequence; b != -1 ones are exploration-only."""
-    if args.seq.b != -1 and not args.uncertified:
+    """The selected sequence; uncertified ones are exploration-only."""
+    if not is_certified_spec(args.seq) and not args.uncertified:
         raise UncertifiedOnly("b != -1 is exploration-only; pass --uncertified to evaluate anyway")
     return args.seq
 

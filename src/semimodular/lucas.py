@@ -18,10 +18,12 @@ integer; otherwise negative indices are exact rationals.
 for b = -1 and a != 0 the consecutive ratios r(j) = L(j-1)/L(j) are iterates
 of the Moebius map x -> 1/(a + x), a decreasing contraction, so they
 alternate around the limit 1/root and each consecutive pair brackets every
-later ratio.  The hull of a short run of exact ratios therefore provably
-contains all ratios from its start index on.  (For a <= -1 the sequence is
-the a >= 1 one with alternating signs attached, so the mirrored hull has the
-same bracketing property.)  Other recursions only get heuristic intervals.
+later ratio.  The exact interval spanned by the pair r(J), r(J+1) therefore
+provably contains all ratios from index J on.  (For a <= -1 the sequence is
+the a >= 1 one with alternating signs attached, so the mirrored pair has the
+same bracketing property.)  `is_certified_spec` names the recursions this
+argument covers; other recursions only get the same pair as a heuristic
+interval.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ from .errors import IndexCapExceeded, RatioBoundUnavailable
 
 # Values near the cap have tens of thousands of digits but stay exact.
 INDEX_CAP = 100_000
-
-# Number of consecutive ratios spanned by a ratio interval.
-RATIO_WINDOW = 16
 
 
 class Kind(enum.Enum):
@@ -107,19 +106,18 @@ def seq_value(spec: SequenceSpec, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GrowthInfo:
-    """Dominant-root data plus an exact interval holding the ratios L(j-1)/L(j).
+    """Dominant-root data plus the exact interval spanned by the ratio pair
+    r(J) = L(J-1)/L(J), r(J+1) = L(J)/L(J+1).
 
-    `certified` is True exactly when the bracketing argument in the module
-    docstring applies (b = -1, a != 0), i.e. when the interval provably
-    contains every ratio from its start index on.  Otherwise it is the hull
-    of the sampled ratios only.
+    Where `is_certified_spec` holds, the bracketing argument in the module
+    docstring makes the interval contain every ratio r(j) with j >= J.
+    Otherwise it carries no such claim.
     """
 
     dominant_root: float
     limit_ratio_neg: float
     ratio_lo: Fraction
     ratio_hi: Fraction
-    certified: bool
 
     def min_abs_ratio(self) -> Fraction:
         """Smallest |x| over the interval; 0 if it straddles the origin."""
@@ -137,7 +135,7 @@ def is_certified_spec(spec: SequenceSpec) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def growth_info(spec: SequenceSpec, J: int) -> GrowthInfo:
-    """Dominant root and ratio interval starting at index J >= 3.
+    """Dominant root and the ratio interval spanned by r(J), r(J+1), J >= 3.
 
     Raises RatioBoundUnavailable when x**2 = a*x - b has no strictly
     dominant real root of modulus > 1; series evaluation then falls back to
@@ -155,20 +153,11 @@ def growth_info(spec: SequenceSpec, J: int) -> GrowthInfo:
     if abs(root) <= 1.0:
         raise RatioBoundUnavailable("dominant root does not exceed modulus 1")
 
-    ratios = []
-    for j in range(J, J + RATIO_WINDOW + 1):
-        denom = seq_value(spec, j)
-        if denom == 0:
-            continue
-        ratios.append(seq_value(spec, j - 1) / denom)
-    if len(ratios) < 2:
-        raise RatioBoundUnavailable("too many vanishing terms to span a ratio interval")
-    lo, hi = min(ratios), max(ratios)
-    certified = is_certified_spec(spec) and (lo > 0 or hi < 0)
+    # With real roots of distinct moduli no L(j), j >= 1, vanishes.
+    pair = [seq_value(spec, j - 1) / seq_value(spec, j) for j in (J, J + 1)]
     return GrowthInfo(
         dominant_root=root,
         limit_ratio_neg=-1.0 / root,
-        ratio_lo=lo,
-        ratio_hi=hi,
-        certified=certified,
+        ratio_lo=min(pair),
+        ratio_hi=max(pair),
     )

@@ -36,8 +36,8 @@ swapped variant exchanges the two clusters (its positive-side poles are
 the reciprocals 1/r(j)).  Everything entering a bound is exact (integer
 sequence values, rational interval endpoints); the only floating-point
 steps are the final distance and logarithms, taken with outward-widened
-endpoints and a relative safety factor.  Recursions with b != -1 get
-heuristic tails and results flagged uncertified.
+endpoints and a relative safety factor.  Other recursions get heuristic
+tails and results flagged uncertified.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import PoleProximity, ToleranceUnreachable, UncertifiedOnly
+from .errors import PoleProximity, ToleranceUnreachable
 from .lucas import (
     FIBONACCI,
     SequenceSpec,
@@ -208,6 +208,8 @@ def _half_sum(pairs, z: complex, m: int, j0: int, step: int) -> complex:
 
     The term order is part of the contract.  A None pair is an exact zero
     term; it stays in the loop because it still moves the compensation.
+    A power can overflow without raising (a huge finite z gives nan terms),
+    so a total that is not finite fails like a raised overflow.
     """
     e = -m
     total = comp = 0j
@@ -224,6 +226,8 @@ def _half_sum(pairs, z: complex, m: int, j0: int, step: int) -> complex:
             total = tentative
     except (ZeroDivisionError, OverflowError):
         raise _power_error(pairs, z, j0, step) from None
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise _power_error(pairs, z, j0, step)
     return total
 
 
@@ -403,7 +407,6 @@ def evaluate_halves(
     z: complex,
     tol: float = 1e-10,
     *,
-    require_certified: bool = False,
     guard_eps: float = GUARD_EPS,
 ) -> tuple[SeriesResult, SeriesResult]:
     """Windowed half sums over j <= 0 and j >= 1, each with its own tail bound.
@@ -422,8 +425,6 @@ def evaluate_halves(
         raise ValueError(f"guard_eps must be >= 0, got {guard_eps}")
     kern = _kernel(spec)
     certified = kern.certified
-    if require_certified and not certified:
-        raise UncertifiedOnly(f"no certified tail bounds for {spec.seq}")
     _check_guard(spec.seq, z, guard_eps)
     J, neg_tail, pos_tail = _plan_window(kern, z, tol)
     neg, pos = kern.rows_upto(J + 1)
@@ -440,7 +441,6 @@ def evaluate(
     z: complex,
     tol: float = 1e-10,
     *,
-    require_certified: bool = False,
     guard_eps: float = GUARD_EPS,
 ) -> SeriesResult:
     """Windowed bilateral sum with |omitted mass| <= tail_bound.
@@ -448,9 +448,7 @@ def evaluate(
     The value is exactly the sum of the two half results of
     `evaluate_halves` at the same window.
     """
-    minus, plus = evaluate_halves(
-        spec, z, tol, require_certified=require_certified, guard_eps=guard_eps
-    )
+    minus, plus = evaluate_halves(spec, z, tol, guard_eps=guard_eps)
     return SeriesResult(
         minus.value + plus.value,
         minus.tail_bound + plus.tail_bound,

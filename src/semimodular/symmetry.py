@@ -29,7 +29,7 @@ from typing import Union
 from .errors import InvalidPairing, MobiusPole, OddWeight, UncertifiedOnly
 from .gl2 import S as MAT_S
 from .gl2 import IntMat2, mirror_matrix
-from .lucas import FIBONACCI, SequenceSpec
+from .lucas import FIBONACCI, SequenceSpec, is_certified_spec
 from .series import (
     SeriesResult,
     SeriesSpec,
@@ -88,17 +88,10 @@ def mobius_apply(mat: IntMat2, z: complex) -> complex:
     return (mat.p * z + mat.q) / den
 
 
-def slash(
-    spec: SeriesSpec,
-    mat: IntMat2,
-    z: complex,
-    tol: float = 1e-10,
-    weight: int | None = None,
-) -> complex:
-    """(f|mat)(z) = (r*z + s)**(-weight) * f of the transformed point; weight defaults to spec's."""
-    m = spec.weight if weight is None else weight
+def slash(spec: SeriesSpec, mat: IntMat2, z: complex, tol: float = 1e-10) -> complex:
+    """(f|mat)(z) = (r*z + s)**(-m) * f of the transformed point, m = spec.weight."""
     w = mobius_apply(mat, z)
-    factor = (mat.r * z + mat.s) ** (-m)
+    factor = (mat.r * z + mat.s) ** (-spec.weight)
     return factor * evaluate(spec, w, tol).value
 
 
@@ -130,8 +123,8 @@ def check_identity(
     The weight must be even (2k); mirror checks require the mirror
     parameter to equal the sequence's coefficient a unless `force_pairing`
     is set (the deliberate-mismatch mode used by the negative control).
-    Only b = -1 sequences carry certified bounds, so others are rejected,
-    and so is an empty scan (n_samples < 1), which would pass vacuously.
+    Only sequences with certified bounds (`is_certified_spec`) are accepted,
+    and an empty scan (n_samples < 1), which would pass vacuously, is not.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -139,8 +132,8 @@ def check_identity(
         raise OddWeight(f"identity checks need even weight, got {spec.weight}")
     if k is not None and 2 * k != spec.weight:
         raise ValueError(f"k = {k} is inconsistent with weight {spec.weight}")
-    if spec.seq.b != -1:
-        raise UncertifiedOnly("identity checks are only offered in the certified b = -1 regime")
+    if not is_certified_spec(spec.seq):
+        raise UncertifiedOnly("identity checks are only offered in the certified b = -1, a != 0 regime")
     if isinstance(kind, MirrorPa) and kind.a != spec.seq.a and not force_pairing:
         raise InvalidPairing(
             f"mirror parameter {kind.a} does not match the sequence coefficient a = {spec.seq.a}"
@@ -170,7 +163,7 @@ def check_identity(
         lhs = evaluate(spec, image, eval_tol)
         rhs = evaluate(spec, z, eval_tol)
         residual = abs(factor * lhs.value - rhs.value)
-        tolerance = rhs.tail_bound + abs(factor) * lhs.tail_bound + _floor(z, weight)
+        tolerance = _tolerance(rhs, factor, lhs, z, weight)
         points.append(z)
         residuals.append(residual)
         tolerances.append(tolerance)
@@ -201,8 +194,36 @@ class StepCheck:
         return self.residual <= self.tolerance
 
 
-def _floor(z: complex, weight: int) -> float:
-    return FLOOR_COEFF * (1.0 + abs(z)) ** weight
+def _tolerance(
+    plain: SeriesResult, factor: complex, slashed: SeriesResult, z: complex, weight: int
+) -> float:
+    """Allowed |plain.value - factor * slashed.value| (less any exact boundary
+    constant): both certified tails plus the rounding floor at z."""
+    return plain.tail_bound + abs(factor) * slashed.tail_bound + FLOOR_COEFF * (1.0 + abs(z)) ** weight
+
+
+def _side(spec: SeriesSpec, point: complex, part: str, tol: float) -> SeriesResult:
+    """The "full" sum at point, or its "minus" (j <= 0) or "plus" (j >= 1) half."""
+    if part == "full":
+        return evaluate(spec, point, tol)
+    minus, plus = evaluate_halves(spec, point, tol)
+    return minus if part == "minus" else plus
+
+
+# name -> (left point z + a or -z, left part, right part at 1/z, boundary
+# constant added to the right side).
+_STEPS = {
+    "half-plus-shift": ("shift", "plus", "plus", -1),
+    "half-minus-shift": ("shift", "minus", "minus", 1),
+    "full-shift": ("shift", "full", "full", 0),
+    "half-minus-negate": ("negate", "minus", "plus", 0),
+    "half-plus-negate": ("negate", "plus", "minus", 0),
+    "full-negate": ("negate", "full", "full", 0),
+    "lucas-shift": ("shift", "full", "full", 0),
+    "lucas-negate": ("negate", "full", "full", 0),
+}
+LUCAS_STEPS = ("lucas-shift", "lucas-negate")
+PROOF_STEPS = tuple(name for name in _STEPS if name not in LUCAS_STEPS)
 
 
 def proof_step(
@@ -223,71 +244,32 @@ def proof_step(
       half-plus-negate   f+(-z)  = z**(-2k) f-(1/z)
       full-negate        f(-z)   = z**(-2k) f(1/z)
 
-    The "lucas-shift" / "lucas-negate" steps take any b = -1 sequence and
-    check the full-sum analogues with the shift z + a in place of z + 1.
-    The tolerance combines both sides' certified tails with the rounding
-    floor; boundary constants are exact and add nothing.
+    The "lucas-shift" / "lucas-negate" steps take any certified sequence
+    (`is_certified_spec`) and check the full-sum analogues with the shift
+    z + a in place of z + 1; at the Fibonacci numbers they are the "full-*"
+    steps.  The tolerance combines both sides' certified tails with the
+    rounding floor; boundary constants are exact and add nothing.
     """
-    weight = 2 * k
     if k < 1:
         raise ValueError("k must be >= 1")
-
+    if name not in _STEPS:
+        raise ValueError(f"unknown step {name!r}")
     if name in LUCAS_STEPS:
         if seq is None:
             raise ValueError("lucas steps need an explicit sequence")
-        if seq.b != -1:
-            raise UncertifiedOnly("half-swap steps hold in the b = -1 regime only")
-        spec = SeriesSpec(seq, weight)
-        lhs_point = z + seq.a if name == "lucas-shift" else -z
-        lhs_res = evaluate(spec, lhs_point, eval_tol)
-        rhs_res = evaluate(spec, 1 / z, eval_tol)
-        factor = z ** (-weight)
-        return StepCheck(
-            name,
-            z,
-            lhs_res.value,
-            factor * rhs_res.value,
-            lhs_res.tail_bound + abs(factor) * rhs_res.tail_bound + _floor(z, weight),
-        )
-
-    if name not in PROOF_STEPS:
-        raise ValueError(f"unknown step {name!r}")
-    spec = SeriesSpec(seq if seq is not None else FIBONACCI, weight)
-    if spec.seq != FIBONACCI:
+        if not is_certified_spec(seq):
+            raise UncertifiedOnly("half-swap steps hold in the certified b = -1, a != 0 regime only")
+    elif seq is None:
+        seq = FIBONACCI
+    elif seq != FIBONACCI:
         raise ValueError("the unilateral steps are specific to the Fibonacci series")
+
+    move, left, right, boundary = _STEPS[name]
+    weight = 2 * k
+    spec = SeriesSpec(seq, weight)
     factor = z ** (-weight)
-    lhs_point = z + 1 if "shift" in name else -z
-    lm, lp = evaluate_halves(spec, lhs_point, eval_tol)
-    rm, rp = evaluate_halves(spec, 1 / z, eval_tol)
-
-    def combined(lhs: SeriesResult, rhs: SeriesResult) -> float:
-        return lhs.tail_bound + abs(factor) * rhs.tail_bound + _floor(z, weight)
-
-    if name == "half-plus-shift":
-        return StepCheck(name, z, lp.value, factor * rp.value - 1, combined(lp, rp))
-    if name == "half-minus-shift":
-        return StepCheck(name, z, lm.value, factor * rm.value + 1, combined(lm, rm))
-    if name == "half-minus-negate":
-        # The halves swap through the inversion.
-        return StepCheck(name, z, lm.value, factor * rp.value, combined(lm, rp))
-    if name == "half-plus-negate":
-        return StepCheck(name, z, lp.value, factor * rm.value, combined(lp, rm))
-    # full-shift / full-negate
-    full_l = lm.value + lp.value
-    full_r = factor * (rm.value + rp.value)
-    tol = (lm.tail_bound + lp.tail_bound) + abs(factor) * (
-        rm.tail_bound + rp.tail_bound
-    ) + _floor(z, weight)
-    return StepCheck(name, z, full_l, full_r, tol)
-
-
-PROOF_STEPS = (
-    "half-plus-shift",
-    "half-minus-shift",
-    "full-shift",
-    "half-minus-negate",
-    "half-plus-negate",
-    "full-negate",
-)
-
-LUCAS_STEPS = ("lucas-shift", "lucas-negate")
+    lhs = _side(spec, z + seq.a if move == "shift" else -z, left, eval_tol)
+    rhs = _side(spec, 1 / z, right, eval_tol)
+    return StepCheck(
+        name, z, lhs.value, factor * rhs.value + boundary, _tolerance(lhs, factor, rhs, z, weight)
+    )

@@ -59,9 +59,15 @@ def test_eval_usage_errors(capsys):
 def test_eval_tolerance_unreachable_exit(capsys):
     # (3, 2): the negatively indexed terms tend to a constant, so the
     # heuristic tails never meet any tolerance.  second:(5, 6): the terms
-    # grow past double range, which ends the same way, with one line.
-    for seq in ("lucas-first:3:2", "lucas-second:5:6"):
-        code = main(["eval", "--seq", seq, "--uncertified", "--weight", "4", "--z", "0.3,0.7"])
+    # grow past double range, which ends the same way, with one line; so
+    # do the terms at a huge z, in either output format.
+    for args in (
+        ["--seq", "lucas-first:3:2", "--uncertified", "--z", "0.3,0.7"],
+        ["--seq", "lucas-second:5:6", "--uncertified", "--z", "0.3,0.7"],
+        ["--seq", "fib", "--z", "1e300,1e300"],
+        ["--seq", "fib", "--z", "1e300,1e300", "--format", "human"],
+    ):
+        code = main(["eval", "--weight", "4", *args])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -184,6 +190,10 @@ def test_matrix_fib_power(capsys):
         12586269025,
         7778742049,
     )
+    # The largest power whose entries (F(20577) has 4300 digits) still print.
+    code, out = run_cli(capsys, ["matrix", "--fib-power", "20576"])
+    assert code == 0
+    assert len(str(records(out)[0]["p"])) == 4300
 
 
 def test_grid_roundtrip(tmp_path, capsys):
@@ -230,6 +240,17 @@ def test_grid_single_pixel_matches_eval(tmp_path, capsys):
     z = complex(0.3, 0.7)
     value = evaluate(SeriesSpec(FIBONACCI, 4), z, 1e-8).value
     assert pixel == bytes(_pixel_color(value))
+
+
+def test_grid_huge_window_renders_black(tmp_path, capsys):
+    out_path = tmp_path / "huge.ppm"
+    code, _ = run_cli(
+        capsys,
+        ["grid", "--seq", "fib", "--weight", "4", "--window=1e300,2e300,1e300,2e300",
+         "--res", "2x2", "--out", str(out_path)],
+    )
+    assert code == 0
+    assert out_path.read_bytes() == b"P6\n2 2\n255\n" + bytes(3 * 4)
 
 
 def test_grid_black_band_near_accumulation(tmp_path, capsys):
@@ -321,6 +342,7 @@ def test_rejected_values_exit_64_with_one_line(tmp_path, capsys, args):
         (["matrix", "--fib-power", str(INDEX_CAP + 1)], "argument --fib-power"),
         (["poles", "--seq", "fib", "--nmin", "1", "--nmax", "3", "--variant", "standard"], "unrecognized"),
         (["check", "--identity", "inversion", "--seq", "fib", "--samples", "2", "--uncertified"], "unrecognized"),
+        (["matrix", "--fib-power", "20577"], "argument --fib-power"),
     ],
 )
 def test_out_of_range_and_removed_options_exit_64(capsys, args, message):

@@ -14,6 +14,7 @@ from semimodular import (
     RatioBoundUnavailable,
     SequenceSpec,
     growth_info,
+    is_certified_spec,
     seq_value,
 )
 
@@ -109,7 +110,7 @@ def test_growth_info_fibonacci():
     info = growth_info(FIBONACCI, 5)
     assert info.dominant_root == pytest.approx(1.6180339887498949, abs=1e-12)
     assert info.limit_ratio_neg == pytest.approx(-0.6180339887498949, abs=1e-12)
-    assert info.certified
+    assert is_certified_spec(FIBONACCI)
     inv_phi = Fraction(61803398874989485, 10**17)  # 1/phi to enough places
     assert info.ratio_lo < inv_phi < info.ratio_hi
 
@@ -128,22 +129,24 @@ def test_growth_info_unavailable():
 
 def test_growth_info_negative_a_certified():
     info = growth_info(SequenceSpec(-2, -1), 5)
-    assert info.certified
+    assert is_certified_spec(SequenceSpec(-2, -1))
     assert info.ratio_hi < 0
     assert info.dominant_root == pytest.approx(-1 - 2**0.5, abs=1e-12)
 
 
 def test_growth_info_b2_heuristic():
     info = growth_info(SequenceSpec(5, 2), 5)
-    assert not info.certified
+    assert not is_certified_spec(SequenceSpec(5, 2))
     assert info.dominant_root == pytest.approx((5 + 17**0.5) / 2, abs=1e-12)
 
 
 def test_ratio_interval_brackets_later_ratios():
-    # The certified hull at J must contain every later ratio (spot check
-    # far beyond the sampled window).
-    for spec in (FIBONACCI, LUCAS_NUMBERS, SequenceSpec(-2, -1), SequenceSpec(3, -1, Kind.SECOND)):
-        info = growth_info(spec, 6)
-        for j in range(6, 200):
-            r = seq_value(spec, j - 1) / seq_value(spec, j)
-            assert info.ratio_lo <= r <= info.ratio_hi, (spec, j)
+    # The interval spanned by r(J), r(J+1) must contain every later ratio
+    # (spot check far beyond the pair), b = -1, a in +-1..+-6, both kinds.
+    for a in [*range(-6, 0), *range(1, 7)]:
+        for kind in Kind:
+            spec = SequenceSpec(a, -1, kind)
+            info = growth_info(spec, 6)
+            for j in range(6, 201):
+                r = seq_value(spec, j - 1) / seq_value(spec, j)
+                assert info.ratio_lo <= r <= info.ratio_hi, (spec, j)

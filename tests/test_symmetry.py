@@ -164,8 +164,11 @@ def test_k_mismatch_rejected():
 
 
 def test_uncertified_seq_rejected():
+    for seq in (SequenceSpec(5, 2), SequenceSpec(0, -1)):
+        with pytest.raises(UncertifiedOnly):
+            check_identity(SeriesSpec(seq, 4), InversionS())
     with pytest.raises(UncertifiedOnly):
-        check_identity(SeriesSpec(SequenceSpec(5, 2), 4), InversionS())
+        proof_step("lucas-shift", 1, 0.3 + 0.7j, seq=SequenceSpec(0, -1))
 
 
 def test_mirror_fixed_point_zero_residual():
@@ -200,6 +203,15 @@ def test_lucas_steps_pass():
                     continue
                 chk = proof_step(name, 1, z, seq=seq, eval_tol=1e-11)
                 assert chk.ok, (seq, name, z, chk.residual, chk.tolerance)
+
+
+def test_full_steps_are_lucas_steps_at_fibonacci():
+    for z in SAFE_POINTS:
+        for full, lucas in (("full-shift", "lucas-shift"), ("full-negate", "lucas-negate")):
+            a = proof_step(full, 2, z)
+            b = proof_step(lucas, 2, z, seq=FIBONACCI)
+            assert (a.lhs, a.rhs, a.tolerance) == (b.lhs, b.rhs, b.tolerance)
+        assert proof_step("full-shift", 2, z).lhs == evaluate(F4, z + 1).value
 
 
 def test_proof_step_unknown_name():
