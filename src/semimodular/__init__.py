@@ -47,7 +47,6 @@ from .series import (
     SeriesResult,
     SeriesSpec,
     Variant,
-    brute_force_oracle,
     evaluate,
     evaluate_halves,
     pole_distance,

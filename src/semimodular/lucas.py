@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,22 +74,16 @@ LUCAS_NUMBERS = SequenceSpec(1, -1, Kind.SECOND)
 
 
 _TABLES: dict[SequenceSpec, list[int]] = {}
-_LOCK = threading.Lock()
 
 
 def _table(spec: SequenceSpec, upto: int) -> list[int]:
-    """Forward-recursion table through index `upto` (immutable prefix)."""
+    """Forward-recursion table through index `upto`, memoized per spec."""
     tab = _TABLES.get(spec)
-    if tab is not None and len(tab) > upto:
-        # Lock-free fast path: existing entries are never mutated.
-        return tab
-    with _LOCK:
-        tab = _TABLES.setdefault(
-            spec, [0, 1] if spec.kind is Kind.FIRST else [2, spec.a]
-        )
-        while len(tab) <= upto:
-            tab.append(spec.a * tab[-1] - spec.b * tab[-2])
-        return tab
+    if tab is None:
+        tab = _TABLES[spec] = [0, 1] if spec.kind is Kind.FIRST else [2, spec.a]
+    while len(tab) <= upto:
+        tab.append(spec.a * tab[-1] - spec.b * tab[-2])
+    return tab
 
 
 def seq_value(spec: SequenceSpec, n: int) -> Fraction:
@@ -139,7 +132,7 @@ def growth_info(spec: SequenceSpec, J: int) -> GrowthInfo:
 
     Raises RatioBoundUnavailable when x**2 = a*x - b has no strictly
     dominant real root of modulus > 1; series evaluation then falls back to
-    heuristic (oracle-checked) mode.  Results are cached (pure function).
+    heuristic mode.  Results are cached (pure function).
     """
     if J < 3:
         raise ValueError("ratio intervals start at J >= 3")

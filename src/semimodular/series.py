@@ -48,7 +48,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import PoleProximity, ToleranceUnreachable
 from .lucas import (
@@ -59,9 +58,6 @@ from .lucas import (
     seq_value,
 )
 
-if TYPE_CHECKING:
-    import mpmath
-
 GUARD_EPS = 1e-6
 # Poles with |n| beyond this sit within ~1e-26 of an accumulation point, so
 # the accumulation-point check subsumes them.
@@ -69,7 +65,8 @@ GUARD_DEPTH = 64
 START_WINDOW = 8
 MAX_WINDOW = 10_000
 MIN_TOL = 1e-13
-ORACLE_CAP = 500
+
+_OVERFLOW = "terms overflow double range"
 
 # Coefficients wider than this cannot influence any supported tolerance;
 # they are also unsafe to push through float().
@@ -142,34 +139,30 @@ def _coeffs_float(spec: SeriesSpec, j: int) -> tuple[float, float] | None:
 class _Kernel:
     """Per-spec evaluation state: coefficient rows and tail parameters.
 
-    `rows` is a pair of tuples (neg, pos) with neg[k] the double-rounded
-    coefficients of index -k and pos[k] those of index k.  The pair grows by
-    building longer tuples and swapping them in as one attribute, so a
-    reader never sees rows of mismatched length and no lock is needed;
-    racing growers only recompute identical values.
+    `neg[k]` holds the double-rounded coefficients of index -k and `pos[k]`
+    those of index k; both rows always have the same length.
     """
 
-    __slots__ = ("spec", "certified", "rows", "tails")
+    __slots__ = ("spec", "certified", "neg", "pos", "tails")
 
     def __init__(self, spec: SeriesSpec) -> None:
         self.spec = spec
         self.certified = is_certified_spec(spec.seq)
-        self.rows: tuple[tuple, tuple] = ((), ())
+        self.neg: list[tuple[float, float] | None] = []
+        self.pos: list[tuple[float, float] | None] = []
         # edge -> (neg side, pos side) parameters of `_tail_params`
         self.tails: dict[int, tuple[tuple, tuple]] = {}
 
-    def rows_upto(self, n: int) -> tuple[tuple, tuple]:
+    def rows_upto(self, n: int) -> tuple[list, list]:
         """Coefficient rows covering every |j| < n."""
-        rows = self.rows
-        have = len(rows[0])
-        if have < n:
-            spec, (neg, pos) = self.spec, rows
-            rows = (
-                neg + tuple(_coeffs_float(spec, -k) for k in range(have, n)),
-                pos + tuple(_coeffs_float(spec, k) for k in range(have, n)),
-            )
-            self.rows = rows
-        return rows
+        neg, pos = self.neg, self.pos
+        while len(neg) < n:
+            k = len(neg)
+            # Both entries first, so a raise cannot leave the rows uneven.
+            below, above = _coeffs_float(self.spec, -k), _coeffs_float(self.spec, k)
+            neg.append(below)
+            pos.append(above)
+        return neg, pos
 
     def tail_params(self, edge: int) -> tuple[tuple, tuple]:
         params = self.tails.get(edge)
@@ -185,7 +178,7 @@ _KERNELS: dict[SeriesSpec, _Kernel] = {}
 def _kernel(spec: SeriesSpec) -> _Kernel:
     kern = _KERNELS.get(spec)
     if kern is None:
-        kern = _KERNELS.setdefault(spec, _Kernel(spec))
+        kern = _KERNELS[spec] = _Kernel(spec)
     return kern
 
 
@@ -200,18 +193,19 @@ def _power_error(pairs, z: complex, j0: int, step: int) -> Exception:
     for k, pair in enumerate(pairs):
         if pair is not None and pair[0] * z + pair[1] == 0:
             return PoleProximity(f"term {j0 + step * k} denominator vanishes exactly at z = {z}")
-    return ToleranceUnreachable("terms overflow; series looks divergent here")
+    return ToleranceUnreachable(_OVERFLOW)
 
 
-def _half_sum(pairs, z: complex, m: int, j0: int, step: int) -> complex:
-    """Compensated sum of (c1*z + c0) ** -m over `pairs`, in order.
+def _half_sum(pairs, z: complex, e: int, j0: int, step: int) -> complex:
+    """Compensated sum of (c1*z + c0) ** e over `pairs`, in order, where
+    pairs[k] belongs to index j0 + step*k.
 
     The term order is part of the contract.  A None pair is an exact zero
     term; it stays in the loop because it still moves the compensation.
-    A power can overflow without raising (a huge finite z gives nan terms),
-    so a total that is not finite fails like a raised overflow.
+    A power can overflow without raising (giving nan), so a total that is
+    not finite fails like a raised overflow; a failed sum goes on to
+    `_resum_inverted`.
     """
-    e = -m
     total = comp = 0j
     try:
         for pair in pairs:
@@ -224,11 +218,30 @@ def _half_sum(pairs, z: complex, m: int, j0: int, step: int) -> complex:
             tentative = total + y
             comp = (tentative - total) - y
             total = tentative
+        if math.isfinite(total.real) and math.isfinite(total.imag):
+            return total
     except (ZeroDivisionError, OverflowError):
-        raise _power_error(pairs, z, j0, step) from None
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise _power_error(pairs, z, j0, step)
-    return total
+        pass
+    return _resum_inverted(pairs, z, e, j0, step)
+
+
+def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
+    """A failed half sum of den ** -m, summed again as (1/den) ** m.
+
+    CPython powers den ** -m as the reciprocal of den ** m, which overflows
+    at a huge z although the term underflows.  Only a failed sum comes here,
+    so a sum that succeeds the first way keeps its bits.  A failure of the
+    resummed half (e > 0) is final.
+    """
+    if e > 0:
+        raise ToleranceUnreachable(_OVERFLOW)
+    error = _power_error(pairs, z, j0, step)
+    if isinstance(error, PoleProximity):
+        raise error
+    # The row (0, 1/den) at z = 0 gives the base 1/den itself (a zero part
+    # may change sign).
+    inverted = [None if p is None else (0.0, 1 / (p[0] * z + p[1])) for p in pairs]
+    return _half_sum(inverted, 0j, -e, j0, step)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +441,8 @@ def evaluate_halves(
     _check_guard(spec.seq, z, guard_eps)
     J, neg_tail, pos_tail = _plan_window(kern, z, tol)
     neg, pos = kern.rows_upto(J + 1)
-    minus = _half_sum(neg[J::-1], z, spec.weight, -J, 1)
-    plus = _half_sum(pos[J:0:-1], z, spec.weight, J, -1)
+    minus = _half_sum(neg[J::-1], z, -spec.weight, -J, 1)
+    plus = _half_sum(pos[J:0:-1], z, -spec.weight, J, -1)
     return (
         SeriesResult(minus, neg_tail, -J, 0, certified),
         SeriesResult(plus, pos_tail, 1, J, certified),
@@ -456,33 +469,3 @@ def evaluate(
         plus.j_max,
         minus.certified,
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _oracle_mp(spec: SeriesSpec, z: complex, J: int) -> mpmath.mpc:
-    """Plain symmetric partial sum over |j| <= J at 50 significant digits."""
-    if J > ORACLE_CAP:
-        raise ValueError(f"oracle window capped at {ORACLE_CAP}")
-    import mpmath
-
-    with mpmath.workdps(50):
-        zz = mpmath.mpc(z)
-        total = mpmath.mpc(0)
-        for j in range(-J, J + 1):
-            c1, c0 = _coeffs(spec, j)
-            den = (mpmath.mpf(c1.numerator) / c1.denominator) * zz + (
-                mpmath.mpf(c0.numerator) / c0.denominator
-            )
-            if den == 0:
-                raise PoleProximity(f"term {j} denominator vanishes exactly at z = {z}")
-            total += den ** (-spec.weight)
-        return total
-
-
-def brute_force_oracle(spec: SeriesSpec, z: complex, J: int) -> complex:
-    """Extended-precision symmetric partial sum, rounded to a complex double."""
-    return complex(_oracle_mp(spec, z, J))

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import InvalidPairing, MobiusPole, OddWeight, UncertifiedOnly
+from .errors import InvalidPairing, MobiusPole, OddWeight, ToleranceUnreachable, UncertifiedOnly
 from .gl2 import S as MAT_S
 from .gl2 import IntMat2, mirror_matrix
 from .lucas import FIBONACCI, SequenceSpec, is_certified_spec
@@ -88,10 +88,24 @@ def mobius_apply(mat: IntMat2, z: complex) -> complex:
     return (mat.p * z + mat.q) / den
 
 
+def _factor(den: complex, weight: int) -> complex:
+    """The automorphy factor den**(-weight): MobiusPole where den vanishes,
+    ToleranceUnreachable where the power leaves double range."""
+    if den == 0:
+        raise MobiusPole(f"automorphy factor base {den} vanishes")
+    try:
+        factor = den ** (-weight)
+        if math.isfinite(factor.real) and math.isfinite(factor.imag):
+            return factor
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise ToleranceUnreachable(f"automorphy factor ({den})**(-{weight}) leaves double range")
+
+
 def slash(spec: SeriesSpec, mat: IntMat2, z: complex, tol: float = 1e-10) -> complex:
     """(f|mat)(z) = (r*z + s)**(-m) * f of the transformed point, m = spec.weight."""
     w = mobius_apply(mat, z)
-    factor = (mat.r * z + mat.s) ** (-spec.weight)
+    factor = _factor(mat.r * z + mat.s, spec.weight)
     return factor * evaluate(spec, w, tol).value
 
 
@@ -159,7 +173,7 @@ def check_identity(
             continue
         if pole_distance(spec.seq, image) < REJECT_RADIUS:
             continue
-        factor = (mat.r * z + mat.s) ** (-weight)
+        factor = _factor(mat.r * z + mat.s, weight)
         lhs = evaluate(spec, image, eval_tol)
         rhs = evaluate(spec, z, eval_tol)
         residual = abs(factor * lhs.value - rhs.value)
@@ -198,8 +212,14 @@ def _tolerance(
     plain: SeriesResult, factor: complex, slashed: SeriesResult, z: complex, weight: int
 ) -> float:
     """Allowed |plain.value - factor * slashed.value| (less any exact boundary
-    constant): both certified tails plus the rounding floor at z."""
-    return plain.tail_bound + abs(factor) * slashed.tail_bound + FLOOR_COEFF * (1.0 + abs(z)) ** weight
+    constant): both certified tails plus the rounding floor at z.  A floor
+    past double range would pass any residual, so it is ToleranceUnreachable.
+    """
+    try:
+        floor = FLOOR_COEFF * (1.0 + abs(z)) ** weight
+    except OverflowError:
+        raise ToleranceUnreachable(f"rounding floor (1 + |z|)**{weight} overflows double range at z = {z}") from None
+    return plain.tail_bound + abs(factor) * slashed.tail_bound + floor
 
 
 def _side(spec: SeriesSpec, point: complex, part: str, tol: float) -> SeriesResult:
@@ -267,7 +287,7 @@ def proof_step(
     move, left, right, boundary = _STEPS[name]
     weight = 2 * k
     spec = SeriesSpec(seq, weight)
-    factor = z ** (-weight)
+    factor = _factor(z, weight)
     lhs = _side(spec, z + seq.a if move == "shift" else -z, left, eval_tol)
     rhs = _side(spec, 1 / z, right, eval_tol)
     return StepCheck(

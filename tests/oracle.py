@@ -1,0 +1,61 @@
+"""Brute-force mpmath sums of the series terms, the reference the tests compare against.
+
+This is the only module that imports mpmath; the package itself uses the
+standard library only.  Precision follows the term mass: a sum is redone
+with more digits until they resolve ACCURACY under the sum of the term
+moduli, so a small tail under a large value is not lost to cancellation.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+
+from semimodular import PoleProximity, SeriesSpec
+from semimodular.series import _coeffs
+
+ORACLE_CAP = 500
+# Absolute accuracy every sum resolves, with 15 digits to spare.
+ACCURACY = 1e-20
+
+
+def _mpf(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _oracle_mp(spec: SeriesSpec, z: complex, indices) -> mpmath.mpc:
+    """Sum of the terms at `indices` in plain order, at the digits the term mass needs."""
+    dps = 40
+    while True:
+        with mpmath.workdps(dps):
+            zz = mpmath.mpc(z)
+            total = mpmath.mpc(0)
+            mass = 0.0
+            for j in indices:
+                c1, c0 = _coeffs(spec, j)
+                den = _mpf(c1) * zz + _mpf(c0)
+                if den == 0:
+                    raise PoleProximity(f"term {j} denominator vanishes exactly at z = {z}")
+                t = den ** (-spec.weight)
+                total += t
+                mass += float(abs(t))
+            needed = math.ceil(math.log10(mass / ACCURACY)) + 15 if mass > 0 else 0
+            if needed <= dps:
+                return total
+            dps = needed
+
+
+def brute_force_oracle(spec: SeriesSpec, z: complex, J: int) -> complex:
+    """Symmetric partial sum over |j| <= J, rounded to a complex double."""
+    if J > ORACLE_CAP:
+        raise ValueError(f"oracle window capped at {ORACLE_CAP}")
+    return complex(_oracle_mp(spec, z, range(-J, J + 1)))
+
+
+def omitted(spec: SeriesSpec, z: complex, J: int, extra: int) -> float:
+    """|sum of the terms with J < |j| <= J + extra|, summed directly."""
+    if J + extra > ORACLE_CAP:
+        raise ValueError(f"oracle window capped at {ORACLE_CAP}")
+    indices = [j for k in range(J + 1, J + extra + 1) for j in (-k, k)]
+    return float(abs(_oracle_mp(spec, z, indices)))

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,18 +64,24 @@ def test_eval_tolerance_unreachable_exit(capsys):
     # (3, 2): the negatively indexed terms tend to a constant, so the
     # heuristic tails never meet any tolerance.  second:(5, 6): the terms
     # grow past double range, which ends the same way, with one line; so
-    # do the terms at a huge z, in either output format.
+    # do the terms at a z whose denominators overflow, in either output
+    # format.
     for args in (
         ["--seq", "lucas-first:3:2", "--uncertified", "--z", "0.3,0.7"],
         ["--seq", "lucas-second:5:6", "--uncertified", "--z", "0.3,0.7"],
-        ["--seq", "fib", "--z", "1e300,1e300"],
-        ["--seq", "fib", "--z", "1e300,1e300", "--format", "human"],
+        ["--seq", "fib", "--z", "1e307,1e307"],
+        ["--seq", "fib", "--z", "1e307,1e307", "--format", "human"],
     ):
         code = main(["eval", "--weight", "4", *args])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+    # A huge z whose denominators stay finite has a value: only the j = 0
+    # term, 1, survives.
+    code, out = run_cli(capsys, ["eval", "--seq", "fib", "--weight", "4", "--z", "1e300,1e300"])
+    assert code == 0
+    assert records(out)[0]["value_re"] == 1.0
 
 
 def test_eval_tol_floor_is_usage_error(capsys):
@@ -127,6 +137,17 @@ def test_check_rejects_empty_scan(capsys, samples):
     )
     assert code == 64
     assert out == ""
+
+
+@pytest.mark.parametrize("seq", ["fib", "lucas"])
+def test_check_floor_overflow_is_unreachable(capsys, seq):
+    # The rounding floor (1 + |z|)**500 leaves double range; an infinite
+    # tolerance would pass any residual.
+    code = main(["check", "--identity", "mirror", "--seq", seq, "--k", "250", "--samples", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_check_negative_control(capsys):
@@ -243,14 +264,18 @@ def test_grid_single_pixel_matches_eval(tmp_path, capsys):
 
 
 def test_grid_huge_window_renders_black(tmp_path, capsys):
-    out_path = tmp_path / "huge.ppm"
-    code, _ = run_cli(
-        capsys,
-        ["grid", "--seq", "fib", "--weight", "4", "--window=1e300,2e300,1e300,2e300",
-         "--res", "2x2", "--out", str(out_path)],
-    )
-    assert code == 0
-    assert out_path.read_bytes() == b"P6\n2 2\n255\n" + bytes(3 * 4)
+    # At 1e300 every pixel has the value 1; at 1e307 the denominators
+    # overflow, so every pixel is black.
+    for window, pixel in (("1e300,2e300,1e300,2e300", bytes(_pixel_color(1 + 0j))),
+                          ("1e307,2e307,1e307,2e307", bytes(3))):
+        out_path = tmp_path / "huge.ppm"
+        code, _ = run_cli(
+            capsys,
+            ["grid", "--seq", "fib", "--weight", "4", f"--window={window}",
+             "--res", "2x2", "--out", str(out_path)],
+        )
+        assert code == 0
+        assert out_path.read_bytes() == b"P6\n2 2\n255\n" + pixel * 4
 
 
 def test_grid_black_band_near_accumulation(tmp_path, capsys):
@@ -356,7 +381,9 @@ def test_out_of_range_and_removed_options_exit_64(capsys, args, message):
 # Argv fuzz: every input ends in a documented exit code, never a traceback.
 # Each part is drawn valid three times in four, so that whole commands run
 # too.  Pole indices stay within +-200 and scans within 5 samples: a
-# sequence table to the index cap holds about 400 MB.
+# sequence table to the index cap holds about 400 MB.  A valid --weight or
+# --k is sometimes drawn large enough (500-2000, 200-400) that terms,
+# factors or rounding floors leave double range.
 def _mostly(good, bad):
     return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
 
@@ -393,7 +420,9 @@ _ARGV = st.one_of(
     _argv(
         "eval",
         _SELECTOR,
-        _mostly(st.integers(2, 8), st.integers(-1, 1)).map(lambda w: ["--weight", str(w)]),
+        _mostly(_mostly(st.integers(2, 8), st.integers(500, 2000)), st.integers(-1, 1)).map(
+            lambda w: ["--weight", str(w)]
+        ),
         _mostly(st.builds("{},{}".format, _COORD, _COORD), _COORD).map(lambda z: [f"--z={z}"]),
         _option("--guard-eps", st.sampled_from(["0", "1e-3"]), st.sampled_from(["nan", "-1", "inf", "x"])),
         _VARIANT,
@@ -403,7 +432,9 @@ _ARGV = st.one_of(
         "check",
         _SELECTOR,
         _mostly(st.sampled_from(["inversion", "mirror"]), st.just("other")).map(lambda i: ["--identity", i]),
-        _mostly(st.integers(1, 3), st.integers(-1, 0)).map(lambda k: ["--k", str(k)]),
+        _mostly(_mostly(st.integers(1, 3), st.integers(200, 400)), st.integers(-1, 0)).map(
+            lambda k: ["--k", str(k)]
+        ),
         _mostly(st.integers(1, 5), st.integers(-1, 0)).map(lambda n: ["--samples", str(n)]),
         _option("--mirror-a", st.integers(-3, 3), st.just("x")),
         _VARIANT,
@@ -437,3 +468,39 @@ def test_argv_fuzz_documented_exits(argv):
         code = main(argv)
     assert code in {0, 1, 2, 3, 64, 74}, argv
     assert "Traceback" not in err.getvalue()
+
+
+# Runs in a fresh interpreter: records the modules already loaded (site
+# hooks load some), imports the CLI and runs every subcommand, then prints
+# the exit codes and the top-level modules loaded since.
+_IMPORT_PROBE = r"""
+import contextlib, io, json, os, sys, tempfile
+before = set(sys.modules)
+from semimodular import cli
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["eval", "--seq", "fib", "--weight", "4", "--z", "0.3,0.7"],
+        ["check", "--identity", "inversion", "--seq", "fib", "--k", "2", "--samples", "5"],
+        ["poles", "--seq", "fib", "--nmin", "-3", "--nmax", "5"],
+        ["matrix", "--verify"],
+        ["grid", "--seq", "fib", "--weight", "4", "--window=-2,2,-2,2", "--res", "4x4",
+         "--out", os.path.join(tmp, "grid.ppm")],
+    )]
+loaded = sorted({name.partition(".")[0] for name in set(sys.modules) - before})
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert "semimodular" in result["loaded"]
+    foreign = [m for m in result["loaded"] if m != "semimodular" and m not in sys.stdlib_module_names]
+    assert foreign == []

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from semimodular import (
@@ -15,13 +14,13 @@ from semimodular import (
     SeriesSpec,
     ToleranceUnreachable,
     Variant,
-    brute_force_oracle,
     evaluate,
     evaluate_halves,
     pole_map,
     seq_value,
 )
-from semimodular.series import _coeffs, _oracle_mp
+from semimodular.series import _coeffs
+from oracle import brute_force_oracle, omitted
 
 Z0 = 0.3 + 0.7j
 F4 = SeriesSpec(FIBONACCI, 4)
@@ -115,12 +114,17 @@ def test_rejects_nonfinite_z_and_bad_guard(z, guard_eps):
         evaluate_halves(F4, z, guard_eps=guard_eps)
 
 
-@pytest.mark.parametrize("z", [1e77 + 1e77j, 1e160 + 1e160j])
+@pytest.mark.parametrize("z", [1e77 + 1e77j, 1e160 + 1e160j, 1e300 + 1e300j, 1e307 + 1e307j])
 def test_huge_z_overflow_is_unreachable(z):
-    # The powered denominators pass double range without raising, which
-    # would leave a nan value reported as certified.
-    with pytest.raises(ToleranceUnreachable):
-        evaluate(F4, z)
+    # Out here den ** -4 overflows inside CPython's power although the term
+    # underflows; (1/den) ** 4 does not, and only the j = 0 term,
+    # F(-1) ** -4 = 1, survives.  At 1e307 the denominators themselves
+    # overflow, so no value exists in doubles.
+    if abs(z) < 1e307:
+        assert evaluate(F4, z).value == 1
+    else:
+        with pytest.raises(ToleranceUnreachable):
+            evaluate(F4, z)
 
 
 def test_determinism():
@@ -134,10 +138,7 @@ def test_tail_soundness_quick():
     # Acceptance runs the 50-sample version; keep a fast smoke check here.
     for spec, z in [(F4, Z0), (F2, -2.0 + 1.5j), (L4, 2j), (F3, Z0)]:
         res = evaluate(spec, z, 1e-9)
-        J = res.j_max
-        with mp.workdps(50):
-            omitted = abs(_oracle_mp(spec, z, J + 20) - _oracle_mp(spec, z, J))
-        assert omitted <= res.tail_bound
+        assert omitted(spec, z, res.j_max, 20) <= res.tail_bound
 
 
 def test_evaluate_agrees_with_oracle():
@@ -243,8 +244,6 @@ def test_deterministic_oracle():
 
 
 def test_tail_bound_monotone_soundness_example():
-    # |oracle(J+20) - oracle(J)| <= tail bound reported at window J.
+    # |terms with J < |j| <= J+20| <= tail bound reported at window J.
     res = evaluate(F4, Z0, 1e-10)
-    with mp.workdps(50):
-        diff = abs(_oracle_mp(F4, Z0, res.j_max + 20) - _oracle_mp(F4, Z0, res.j_max))
-    assert diff <= res.tail_bound
+    assert omitted(F4, Z0, res.j_max, 20) <= res.tail_bound

@@ -22,6 +22,7 @@ from semimodular import (
     T,
     SequenceSpec,
     SeriesSpec,
+    ToleranceUnreachable,
     UncertifiedOnly,
     Variant,
     check_identity,
@@ -48,6 +49,14 @@ def test_mobius_examples():
 def test_mobius_pole():
     with pytest.raises(MobiusPole):
         mobius_apply(S, 0j)
+    # The automorphy factor: a vanishing base is a pole, and a power that
+    # leaves double range is a tolerance no evaluation can reach.
+    with pytest.raises(MobiusPole):
+        proof_step("half-plus-shift", 1, 0j)
+    with pytest.raises(ToleranceUnreachable):
+        proof_step("half-plus-shift", 1, 1e-200 + 1e-200j)
+    with pytest.raises(ToleranceUnreachable):
+        slash(F4, S, 1e-320 + 0j)
 
 
 def test_mobius_composition():
