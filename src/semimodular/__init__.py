@@ -53,7 +53,6 @@ from .series import (
     pole_map,
 )
 from .symmetry import (
-    LUCAS_STEPS,
     PROOF_STEPS,
     IdentityKind,
     InversionS,

@@ -3,12 +3,12 @@
 Every subcommand writes json-lines records (schema field "schema": 1) to
 stdout and diagnostics to stderr.  Identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 failed identity check, 2 pole proximity,
-3 tolerance unreachable (also a z whose term denominators overflow double
-range, and an identity check whose automorphy factor or rounding floor
-does), 64 usage (a bad option value, or any other package error), 74 output
-I/O failure.  Every error writes a one-line message to stderr, after the
-usage text when an option is malformed.  `matrix --fib-power N` takes
-1 <= N <= 20576: larger powers have entries too long to print.
+3 tolerance unreachable (also a term, automorphy factor or rounding floor
+past double range), 64 usage (a bad option value, or any other package
+error), 74 output I/O failure.  Every error writes a one-line message to
+stderr, after the usage text when an option is malformed.
+`matrix --fib-power N` takes 1 <= N <= 20576: larger powers have entries
+too long to print.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ tails and results flagged uncertified.
 from __future__ import annotations
 
 import bisect
+import cmath
 import enum
 import functools
 import math
@@ -230,8 +231,9 @@ def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
 
     CPython powers den ** -m as the reciprocal of den ** m, which overflows
     at a huge z although the term underflows.  Only a failed sum comes here,
-    so a sum that succeeds the first way keeps its bits.  A failure of the
-    resummed half (e > 0) is final.
+    so a sum that succeeds the first way keeps its bits.  A non-finite den
+    is a zero term (|c0| <= 2**_HUGE_BITS, so |den| > 1e308 and the term is
+    below 1e-616).  A failure of the resummed half (e > 0) is final.
     """
     if e > 0:
         raise ToleranceUnreachable(_OVERFLOW)
@@ -240,7 +242,8 @@ def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
         raise error
     # The row (0, 1/den) at z = 0 gives the base 1/den itself (a zero part
     # may change sign).
-    inverted = [None if p is None else (0.0, 1 / (p[0] * z + p[1])) for p in pairs]
+    dens = (None if p is None else p[0] * z + p[1] for p in pairs)
+    inverted = [(0.0, 1 / d) if d is not None and cmath.isfinite(d) else None for d in dens]
     return _half_sum(inverted, 0j, -e, j0, step)
 
 
@@ -283,10 +286,14 @@ def pole_distance(seq: SequenceSpec, z: complex) -> float:
     """Distance from z to the guarded pole set plus accumulation points.
 
     The points are real, so the nearest one neighbours Re(z) in sort order.
+    A finite z whose distance passes double range is infinitely far.
     """
     points = _guard_points(seq)
     i = bisect.bisect_left(points, z.real)
-    return min(abs(z - p) for p in points[max(i - 1, 0):i + 1])
+    try:
+        return min(abs(z - p) for p in points[max(i - 1, 0):i + 1])
+    except OverflowError:
+        return math.inf
 
 
 def _check_guard(seq: SequenceSpec, z: complex, eps: float) -> None:

@@ -13,10 +13,10 @@ to the pole lattice (for the point and its image), and reports per-sample
 residuals against a tolerance built from both evaluations' certified tail
 bounds plus a rounding floor scaled by the automorphy factor.
 
-The module also exposes the individual half-sum manipulation steps that
-make the identities work (shift by the recursion coefficient, negation,
-and their unilateral versions, whose +-1 boundary terms and half swaps are
-the whole story).  Each step is a standalone numerically checkable claim.
+The module also exposes the half-sum manipulation steps that make the
+identities work for every certified sequence (shift by the recursion
+coefficient, negation, their unilateral versions, whose boundary terms and
+half swaps are the whole story).  Each is a numerically checkable claim.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Union
 from .errors import InvalidPairing, MobiusPole, OddWeight, ToleranceUnreachable, UncertifiedOnly
 from .gl2 import S as MAT_S
 from .gl2 import IntMat2, mirror_matrix
-from .lucas import FIBONACCI, SequenceSpec, is_certified_spec
+from .lucas import FIBONACCI, SequenceSpec, is_certified_spec, seq_value
 from .series import (
     SeriesResult,
     SeriesSpec,
@@ -125,10 +125,9 @@ def _sample_annulus(rng: random.Random) -> complex:
 def check_identity(
     spec: SeriesSpec,
     kind: IdentityKind,
-    k: int | None = None,
+    *,
     n_samples: int = 100,
     seed: int = 0,
-    *,
     eval_tol: float = 1e-10,
     force_pairing: bool = False,
 ) -> ResidualReport:
@@ -144,8 +143,6 @@ def check_identity(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if spec.weight % 2 != 0:
         raise OddWeight(f"identity checks need even weight, got {spec.weight}")
-    if k is not None and 2 * k != spec.weight:
-        raise ValueError(f"k = {k} is inconsistent with weight {spec.weight}")
     if not is_certified_spec(spec.seq):
         raise UncertifiedOnly("identity checks are only offered in the certified b = -1, a != 0 regime")
     if isinstance(kind, MirrorPa) and kind.a != spec.seq.a and not force_pairing:
@@ -230,8 +227,8 @@ def _side(spec: SeriesSpec, point: complex, part: str, tol: float) -> SeriesResu
     return minus if part == "minus" else plus
 
 
-# name -> (left point z + a or -z, left part, right part at 1/z, boundary
-# constant added to the right side).
+# name -> (left point z + a or -z, left part, right part at 1/z, sign of
+# the boundary term B added to the right side).
 _STEPS = {
     "half-plus-shift": ("shift", "plus", "plus", -1),
     "half-minus-shift": ("shift", "minus", "minus", 1),
@@ -239,57 +236,48 @@ _STEPS = {
     "half-minus-negate": ("negate", "minus", "plus", 0),
     "half-plus-negate": ("negate", "plus", "minus", 0),
     "full-negate": ("negate", "full", "full", 0),
-    "lucas-shift": ("shift", "full", "full", 0),
-    "lucas-negate": ("negate", "full", "full", 0),
 }
-LUCAS_STEPS = ("lucas-shift", "lucas-negate")
-PROOF_STEPS = tuple(name for name in _STEPS if name not in LUCAS_STEPS)
+PROOF_STEPS = tuple(_STEPS)
 
 
 def proof_step(
     name: str,
     k: int,
     z: complex,
-    seq: SequenceSpec | None = None,
+    seq: SequenceSpec = FIBONACCI,
     eval_tol: float = 1e-10,
 ) -> StepCheck:
     """Evaluate both sides of one half-sum manipulation step at z.
 
-    Fibonacci steps ("half-*" and "full-*") check, for f of weight 2k:
+    For any certified sequence L (`is_certified_spec`) with coefficient a,
+    and f of weight 2k built on it, the steps check:
 
-      half-plus-shift    f+(z+1) = z**(-2k) f+(1/z) - 1
-      half-minus-shift   f-(z+1) = z**(-2k) f-(1/z) + 1
-      full-shift         f(z+1)  = z**(-2k) f(1/z)
+      half-plus-shift    f+(z+a) = z**(-2k) f+(1/z) - B
+      half-minus-shift   f-(z+a) = z**(-2k) f-(1/z) + B
+      full-shift         f(z+a)  = z**(-2k) f(1/z)
       half-minus-negate  f-(-z)  = z**(-2k) f+(1/z)
       half-plus-negate   f+(-z)  = z**(-2k) f-(1/z)
       full-negate        f(-z)   = z**(-2k) f(1/z)
 
-    The "lucas-shift" / "lucas-negate" steps take any certified sequence
-    (`is_certified_spec`) and check the full-sum analogues with the shift
-    z + a in place of z + 1; at the Fibonacci numbers they are the "full-*"
-    steps.  The tolerance combines both sides' certified tails with the
-    rounding floor; boundary constants are exact and add nothing.
+    B = (L(1) + L(0)*z)**(-2k) is the j = 1 term of z**(-2k) f(1/z), the
+    one the shift moves across the split: 1 for every first-kind sequence,
+    (a + 2z)**(-2k) for the second kind.  The tolerance combines both
+    sides' certified tails with the rounding floor.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if name not in _STEPS:
         raise ValueError(f"unknown step {name!r}")
-    if name in LUCAS_STEPS:
-        if seq is None:
-            raise ValueError("lucas steps need an explicit sequence")
-        if not is_certified_spec(seq):
-            raise UncertifiedOnly("half-swap steps hold in the certified b = -1, a != 0 regime only")
-    elif seq is None:
-        seq = FIBONACCI
-    elif seq != FIBONACCI:
-        raise ValueError("the unilateral steps are specific to the Fibonacci series")
+    if not is_certified_spec(seq):
+        raise UncertifiedOnly("proof steps hold in the certified b = -1, a != 0 regime only")
 
-    move, left, right, boundary = _STEPS[name]
+    move, left, right, sign = _STEPS[name]
     weight = 2 * k
     spec = SeriesSpec(seq, weight)
     factor = _factor(z, weight)
     lhs = _side(spec, z + seq.a if move == "shift" else -z, left, eval_tol)
     rhs = _side(spec, 1 / z, right, eval_tol)
+    boundary = sign * _factor(seq_value(seq, 1) + seq_value(seq, 0) * z, weight) if sign else 0
     return StepCheck(
         name, z, lhs.value, factor * rhs.value + boundary, _tolerance(lhs, factor, rhs, z, weight)
     )

@@ -17,8 +17,8 @@ from semimodular import (
     InversionS,
     Kind,
     LUCAS_NUMBERS,
-    LUCAS_STEPS,
     MirrorPa,
+    PROOF_STEPS,
     SequenceSpec,
     SeriesSpec,
     Variant,
@@ -50,12 +50,27 @@ def test_criterion_01_inversion_and_mirror_suite():
     for k in (1, 2, 3):
         spec = SeriesSpec(FIBONACCI, 2 * k)
         for kind in (InversionS(), MirrorPa(1)):
-            rep = check_identity(spec, kind, k=k, n_samples=100, seed=100 + k)
+            rep = check_identity(spec, kind, n_samples=100, seed=100 + k)
             ok &= rep.passed
             worst = max(worst, rep.max_residual)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
     _report(1, "weight-2k inversion/mirror suite", ok, f"max residual {worst:.2e}, {elapsed:.2f}s")
+
+
+def _admissible_points(rng: random.Random, seq: SequenceSpec, n: int) -> list[complex]:
+    """n annulus points at which z, z + a, 1/z and -z keep 0.05 off the poles."""
+    samples = []
+    while len(samples) < n:
+        r = math.sqrt(rng.uniform(0.2**2, 5.0**2))
+        th = rng.uniform(0, 2 * math.pi)
+        z = complex(r * math.cos(th), r * math.sin(th))
+        if any(
+            pole_distance(seq, w) < 0.05 for w in (z, z + seq.a, 1 / z, -z)
+        ):
+            continue
+        samples.append(z)
+    return samples
 
 
 def test_criterion_02_half_sum_proof_steps():
@@ -69,17 +84,7 @@ def test_criterion_02_half_sum_proof_steps():
         "negate-swap": ("half-minus-negate", "half-plus-negate"),
         "full-negate": ("full-negate",),
     }
-    rng = random.Random(202)
-    samples = []
-    while len(samples) < 50:
-        r = math.sqrt(rng.uniform(0.2**2, 5.0**2))
-        th = rng.uniform(0, 2 * math.pi)
-        z = complex(r * math.cos(th), r * math.sin(th))
-        if any(
-            pole_distance(FIBONACCI, w) < 0.05 for w in (z, z + 1, 1 / z, -z)
-        ):
-            continue
-        samples.append(z)
+    samples = _admissible_points(random.Random(202), FIBONACCI, 50)
     ok = True
     worst = 0.0
     for gname, steps in groups.items():
@@ -95,20 +100,27 @@ def test_criterion_03_lucas_numbers_suite():
     ok = True
     for k in (1, 2):
         spec = SeriesSpec(LUCAS_NUMBERS, 2 * k)
-        ok &= check_identity(spec, InversionS(), k=k, n_samples=100, seed=300 + k).passed
-        ok &= check_identity(spec, MirrorPa(1), k=k, n_samples=100, seed=300 + k).passed
+        ok &= check_identity(spec, InversionS(), n_samples=100, seed=300 + k).passed
+        ok &= check_identity(spec, MirrorPa(1), n_samples=100, seed=300 + k).passed
     _report(3, "Lucas-number series suite", ok)
 
 
 def test_criterion_04_general_a_suite_with_subsumption():
     ok = True
+    rng = random.Random(404)
     for a in (1, 2, 3, -2):
         for kind in (Kind.FIRST, Kind.SECOND):
             seq = SequenceSpec(a, -1, kind)
             for k in (1, 2):
                 spec = SeriesSpec(seq, 2 * k)
-                ok &= check_identity(spec, InversionS(), k=k, n_samples=50, seed=400 + a + k).passed
-                ok &= check_identity(spec, MirrorPa(a), k=k, n_samples=50, seed=400 + a + k).passed
+                ok &= check_identity(spec, InversionS(), n_samples=50, seed=400 + a + k).passed
+                ok &= check_identity(spec, MirrorPa(a), n_samples=50, seed=400 + a + k).passed
+            # The six half-sum proof steps, with the shift by a, at 10
+            # admissible points.
+            for z in _admissible_points(rng, seq, 10):
+                for step in PROOF_STEPS:
+                    for k in (1, 2):
+                        ok &= proof_step(step, k, z, seq=seq).ok
     # a = 1 subsumption: the first kind is the Fibonacci series and the
     # second kind the Lucas-number series, so identical seeds must give
     # identical reports (0 ulp apart).
@@ -119,15 +131,15 @@ def test_criterion_04_general_a_suite_with_subsumption():
         rep_preset = check_identity(spec_preset, InversionS(), n_samples=50, seed=77)
         ok &= rep_a1.residuals == rep_preset.residuals
         ok &= rep_a1.sample_points == rep_preset.sample_points
-    _report(4, "general-a suite incl. a=1 subsumption", ok)
+    _report(4, "general-a suite incl. proof steps and a=1 subsumption", ok)
 
 
 def test_criterion_05_footnote_variant_suite():
     ok = True
     for k in (1, 2):
         spec = SeriesSpec(FIBONACCI, 2 * k, Variant.FOOTNOTE)
-        ok &= check_identity(spec, InversionS(), k=k, n_samples=50, seed=500 + k).passed
-        ok &= check_identity(spec, MirrorPa(1), k=k, n_samples=50, seed=500 + k).passed
+        ok &= check_identity(spec, InversionS(), n_samples=50, seed=500 + k).passed
+        ok &= check_identity(spec, MirrorPa(1), n_samples=50, seed=500 + k).passed
     _report(5, "swapped-coefficient variant suite", ok)
 
 

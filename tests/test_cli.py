@@ -64,24 +64,25 @@ def test_eval_tolerance_unreachable_exit(capsys):
     # (3, 2): the negatively indexed terms tend to a constant, so the
     # heuristic tails never meet any tolerance.  second:(5, 6): the terms
     # grow past double range, which ends the same way, with one line; so
-    # do the terms at a z whose denominators overflow, in either output
-    # format.
+    # does a term that overflows next to a pole with the guard off, in
+    # either output format.
     for args in (
         ["--seq", "lucas-first:3:2", "--uncertified", "--z", "0.3,0.7"],
         ["--seq", "lucas-second:5:6", "--uncertified", "--z", "0.3,0.7"],
-        ["--seq", "fib", "--z", "1e307,1e307"],
-        ["--seq", "fib", "--z", "1e307,1e307", "--format", "human"],
+        ["--seq", "fib", "--z=-1,1e-200", "--guard-eps", "0"],
+        ["--seq", "fib", "--z=-1,1e-200", "--guard-eps", "0", "--format", "human"],
     ):
         code = main(["eval", "--weight", "4", *args])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-    # A huge z whose denominators stay finite has a value: only the j = 0
-    # term, 1, survives.
-    code, out = run_cli(capsys, ["eval", "--seq", "fib", "--weight", "4", "--z", "1e300,1e300"])
-    assert code == 0
-    assert records(out)[0]["value_re"] == 1.0
+    # A huge z has a value: only the j = 0 term, 1, survives, also where
+    # other denominators (1e307) or |z| itself (1.7e308) pass double range.
+    for z in ("1e300,1e300", "1e307,1e307", "1.7e308,1.7e308"):
+        code, out = run_cli(capsys, ["eval", "--seq", "fib", "--weight", "4", "--z", z])
+        assert code == 0
+        assert records(out)[0]["value_re"] == 1.0
 
 
 def test_eval_tol_floor_is_usage_error(capsys):
@@ -264,18 +265,21 @@ def test_grid_single_pixel_matches_eval(tmp_path, capsys):
 
 
 def test_grid_huge_window_renders_black(tmp_path, capsys):
-    # At 1e300 every pixel has the value 1; at 1e307 the denominators
-    # overflow, so every pixel is black.
-    for window, pixel in (("1e300,2e300,1e300,2e300", bytes(_pixel_color(1 + 0j))),
-                          ("1e307,2e307,1e307,2e307", bytes(3))):
+    # At 1e300 and 1e307 every pixel has the value 1; at -1 + 1e-200i,
+    # with the guard off, the terms overflow, so the pixel is black.
+    one = b"P6\n2 2\n255\n" + bytes(_pixel_color(1 + 0j)) * 4
+    for window, extra, expected in (
+        ("1e300,2e300,1e300,2e300", ["--res", "2x2"], one),
+        ("1e307,2e307,1e307,2e307", ["--res", "2x2"], one),
+        ("-2,0,0,2e-200", ["--res", "1x1", "--guard-eps", "0"], b"P6\n1 1\n255\n" + bytes(3)),
+    ):
         out_path = tmp_path / "huge.ppm"
         code, _ = run_cli(
             capsys,
-            ["grid", "--seq", "fib", "--weight", "4", f"--window={window}",
-             "--res", "2x2", "--out", str(out_path)],
+            ["grid", "--seq", "fib", "--weight", "4", f"--window={window}", *extra, "--out", str(out_path)],
         )
         assert code == 0
-        assert out_path.read_bytes() == b"P6\n2 2\n255\n" + pixel * 4
+        assert out_path.read_bytes() == expected
 
 
 def test_grid_black_band_near_accumulation(tmp_path, capsys):

@@ -114,17 +114,23 @@ def test_rejects_nonfinite_z_and_bad_guard(z, guard_eps):
         evaluate_halves(F4, z, guard_eps=guard_eps)
 
 
-@pytest.mark.parametrize("z", [1e77 + 1e77j, 1e160 + 1e160j, 1e300 + 1e300j, 1e307 + 1e307j])
+@pytest.mark.parametrize(
+    "z",
+    [1e77 + 1e77j, 1e160 + 1e160j, 1e300 + 1e300j, 1e307 + 1e307j,
+     1.7e308 + 1.7e308j, -1.5e308 + 1.5e308j, -1 + 1e-200j],
+)
 def test_huge_z_overflow_is_unreachable(z):
     # Out here den ** -4 overflows inside CPython's power although the term
     # underflows; (1/den) ** 4 does not, and only the j = 0 term,
-    # F(-1) ** -4 = 1, survives.  At 1e307 the denominators themselves
-    # overflow, so no value exists in doubles.
-    if abs(z) < 1e307:
+    # F(-1) ** -4 = 1, survives.  From 1e307 on some denominators overflow
+    # too, which makes their terms exact zeros (and |z| itself may pass
+    # double range).  A term that itself overflows, next to the pole at -1
+    # with the guard off, has no value in doubles.
+    if z != -1 + 1e-200j:
         assert evaluate(F4, z).value == 1
     else:
         with pytest.raises(ToleranceUnreachable):
-            evaluate(F4, z)
+            evaluate(F4, z, guard_eps=0)
 
 
 def test_determinism():

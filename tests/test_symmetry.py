@@ -12,7 +12,6 @@ from semimodular import (
     InversionS,
     Kind,
     LUCAS_NUMBERS,
-    LUCAS_STEPS,
     MirrorPa,
     MobiusPole,
     OddWeight,
@@ -122,7 +121,7 @@ def test_slash_cocycle():
 
 def test_check_identity_inversion_weights():
     for k in (1, 2, 3):
-        rep = check_identity(SeriesSpec(FIBONACCI, 2 * k), InversionS(), k=k, n_samples=25, seed=7)
+        rep = check_identity(SeriesSpec(FIBONACCI, 2 * k), InversionS(), n_samples=25, seed=7)
         assert rep.passed, (k, rep.max_residual)
 
 
@@ -167,17 +166,15 @@ def test_odd_weight_rejected():
         check_identity(SeriesSpec(FIBONACCI, 3), InversionS())
 
 
-def test_k_mismatch_rejected():
-    with pytest.raises(ValueError):
-        check_identity(F4, InversionS(), k=1)
-
-
 def test_uncertified_seq_rejected():
     for seq in (SequenceSpec(5, 2), SequenceSpec(0, -1)):
         with pytest.raises(UncertifiedOnly):
             check_identity(SeriesSpec(seq, 4), InversionS())
     with pytest.raises(UncertifiedOnly):
-        proof_step("lucas-shift", 1, 0.3 + 0.7j, seq=SequenceSpec(0, -1))
+        proof_step("full-shift", 1, 0.3 + 0.7j, seq=SequenceSpec(0, -1))
+    for name in PROOF_STEPS:
+        with pytest.raises(UncertifiedOnly):
+            proof_step(name, 1, 0.3 + 0.7j, seq=SequenceSpec(5, 2))
 
 
 def test_mirror_fixed_point_zero_residual():
@@ -205,29 +202,30 @@ def test_proof_steps_pass():
 
 
 def test_lucas_steps_pass():
-    for seq in (SequenceSpec(2, -1), SequenceSpec(3, -1, Kind.SECOND), SequenceSpec(-2, -1)):
-        for name in LUCAS_STEPS:
+    # Every step holds for every certified sequence, either kind, a of
+    # either sign, at points where z, z + a, -z and 1/z keep off the poles.
+    checked = 0
+    for a in (1, 2, 3, -1, -2, -3):
+        for kind in Kind:
+            seq = SequenceSpec(a, -1, kind)
             for z in SAFE_POINTS:
-                if pole_distance(seq, z) < 0.05:
+                if any(pole_distance(seq, w) < 0.05 for w in (z, z + a, -z, 1 / z)):
                     continue
-                chk = proof_step(name, 1, z, seq=seq, eval_tol=1e-11)
-                assert chk.ok, (seq, name, z, chk.residual, chk.tolerance)
+                for name in PROOF_STEPS:
+                    for k in (1, 2):
+                        chk = proof_step(name, k, z, seq=seq, eval_tol=1e-11)
+                        assert chk.ok, (seq, name, k, z, chk.residual, chk.tolerance)
+                        checked += 1
+    assert checked >= 400
 
 
 def test_full_steps_are_lucas_steps_at_fibonacci():
+    spec3 = SeriesSpec(SequenceSpec(3, -1), 4)
     for z in SAFE_POINTS:
-        for full, lucas in (("full-shift", "lucas-shift"), ("full-negate", "lucas-negate")):
-            a = proof_step(full, 2, z)
-            b = proof_step(lucas, 2, z, seq=FIBONACCI)
-            assert (a.lhs, a.rhs, a.tolerance) == (b.lhs, b.rhs, b.tolerance)
         assert proof_step("full-shift", 2, z).lhs == evaluate(F4, z + 1).value
+        assert proof_step("full-shift", 2, z, seq=spec3.seq).lhs == evaluate(spec3, z + 3).value
 
 
 def test_proof_step_unknown_name():
     with pytest.raises(ValueError):
         proof_step("no-such-step", 1, 0.3 + 0.7j)
-
-
-def test_lucas_step_needs_seq():
-    with pytest.raises(ValueError):
-        proof_step("lucas-shift", 1, 0.3 + 0.7j)
