@@ -59,7 +59,7 @@ def _emit(args, record: dict, human: str) -> None:
     if args.format == "human":
         print(human)
     else:
-        print(json.dumps(record, separators=(",", ":"), allow_nan=False))
+        print(json.dumps({"schema": SCHEMA, **record}, separators=(",", ":"), allow_nan=False))
 
 
 def _seq(text: str) -> SequenceSpec:
@@ -135,7 +135,6 @@ def _cmd_eval(args) -> int:
     _emit(
         args,
         {
-            "schema": SCHEMA,
             "command": "eval",
             "value_re": res.value.real,
             "value_im": res.value.imag,
@@ -174,7 +173,6 @@ def _cmd_check(args) -> int:
         _emit(
             args,
             {
-                "schema": SCHEMA,
                 "type": "sample",
                 "index": i,
                 "z_re": z.real,
@@ -189,7 +187,6 @@ def _cmd_check(args) -> int:
     _emit(
         args,
         {
-            "schema": SCHEMA,
             "type": "summary",
             "identity": args.identity,
             "pass": report.passed,
@@ -209,7 +206,6 @@ def _cmd_poles(args) -> int:
         _emit(
             args,
             {
-                "schema": SCHEMA,
                 "type": "pole",
                 "fraction": f"{p.numerator}/{p.denominator}",
                 "numerator": p.numerator,
@@ -220,7 +216,6 @@ def _cmd_poles(args) -> int:
     _emit(
         args,
         {
-            "schema": SCHEMA,
             "type": "accumulation",
             "points": list(pm.accumulation_points),
         },
@@ -236,7 +231,6 @@ def _cmd_matrix(args) -> int:
         _emit(
             args,
             {
-                "schema": SCHEMA,
                 "type": "fib-power",
                 "n": n,
                 "p": mat.p,
@@ -252,14 +246,14 @@ def _cmd_matrix(args) -> int:
         ok &= holds
         _emit(
             args,
-            {"schema": SCHEMA, "type": "identity", "name": name, "holds": holds},
+            {"type": "identity", "name": name, "holds": holds},
             f"{name}: {'ok' if holds else 'FAIL'}",
         )
     fib_ok = all(fib_matrix_check(n) for n in range(1, 51))
     ok &= fib_ok
     _emit(
         args,
-        {"schema": SCHEMA, "type": "fib-matrix", "max_n": 50, "holds": fib_ok},
+        {"type": "fib-matrix", "max_n": 50, "holds": fib_ok},
         f"(PS)^n Fibonacci form for n <= 50: {'ok' if fib_ok else 'FAIL'}",
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -313,7 +307,6 @@ def _cmd_grid(args) -> int:
     _emit(
         args,
         {
-            "schema": SCHEMA,
             "command": "grid",
             "out": args.out,
             "width": width,

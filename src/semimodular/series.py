@@ -168,19 +168,11 @@ class _Kernel:
     def tail_params(self, edge: int) -> tuple[tuple, tuple]:
         params = self.tails.get(edge)
         if params is None:
-            params = (_tail_params(self.spec, edge, "neg"), _tail_params(self.spec, edge, "pos"))
-            self.tails[edge] = params
+            params = self.tails[edge] = _tail_params(self.spec, edge)
         return params
 
 
-_KERNELS: dict[SeriesSpec, _Kernel] = {}
-
-
-def _kernel(spec: SeriesSpec) -> _Kernel:
-    kern = _KERNELS.get(spec)
-    if kern is None:
-        kern = _KERNELS[spec] = _Kernel(spec)
-    return kern
+_kernel = functools.lru_cache(maxsize=None)(_Kernel)
 
 
 def _power_error(pairs, z: complex, j0: int, step: int) -> Exception:
@@ -296,12 +288,6 @@ def pole_distance(seq: SequenceSpec, z: complex) -> float:
         return math.inf
 
 
-def _check_guard(seq: SequenceSpec, z: complex, eps: float) -> None:
-    d = pole_distance(seq, z)
-    if d < eps:
-        raise PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {eps:.1e})")
-
-
 # ---------------------------------------------------------------------------
 # Tail bounds
 # ---------------------------------------------------------------------------
@@ -323,37 +309,30 @@ def _widened(lo: Fraction, hi: Fraction) -> tuple[float, float]:
     return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
 
 
-def _log_abs_int(value: Fraction) -> float:
-    # Certified specs have b = -1, so values are integers (denominator 1).
-    return math.log(abs(value.numerator)) - math.log(value.denominator)
-
-
-def _tail_params(spec: SeriesSpec, edge: int, side: str) -> tuple[float, float, float, float | None]:
-    """z-independent pieces of the certified side tail at a window edge:
-    widened cluster endpoints, log of the scale value, and
-    log1p(-g**-m) for the growth ratio g (None when g <= 1).
+def _tail_params(spec: SeriesSpec, edge: int) -> tuple[tuple, tuple]:
+    """z-independent pieces of the certified (neg, pos) side tails at a
+    window edge: widened cluster endpoints, log of the (integer) scale
+    value, and log1p(-g**-m) for the growth ratio g.
 
     The ratio interval is taken at edge-1 so it also covers the swapped
-    variant, whose coefficient indices trail by one.
+    variant, whose coefficient indices trail by one.  Only certified specs
+    (b = -1, a != 0) come here, and edge - 1 >= 8, so both bracketing
+    ratios are nonzero with the sign of a and g = |a| + min|I| > 1.
     """
     seq = spec.seq
     info = growth_info(seq, max(3, edge - 1))
     lo, hi = info.ratio_lo, info.ratio_hi
     g = float(Fraction(abs(seq.a)) + info.min_abs_ratio())
+    log_geometric = math.log1p(-(g**-spec.weight))
 
     if spec.variant is Variant.STANDARD:
-        cluster = (-hi, -lo) if side == "pos" else (seq.a + lo, seq.a + hi)
-        scale = seq_value(seq, edge)
-    elif side == "pos":
-        cluster = (1 / hi, 1 / lo)
-        scale = seq_value(seq, edge - 1)
+        sides = (((seq.a + lo, seq.a + hi), edge), ((-hi, -lo), edge))
     else:
-        cluster = (-hi, -lo)
-        scale = seq_value(seq, edge + 1)
-
-    c_lo, c_hi = _widened(min(cluster), max(cluster))
-    log_geometric = math.log1p(-(g**-spec.weight)) if g > 1.0 else None
-    return c_lo, c_hi, _log_abs_int(scale), log_geometric
+        sides = (((-hi, -lo), edge + 1), ((1 / hi, 1 / lo), edge - 1))
+    return tuple(
+        (*_widened(min(ends), max(ends)), math.log(abs(seq_value(seq, n).numerator)), log_geometric)
+        for ends, n in sides
+    )
 
 
 def _certified_side_tail(params, z: complex, m: int) -> float:
@@ -362,8 +341,6 @@ def _certified_side_tail(params, z: complex, m: int) -> float:
     Sound for b = -1, a != 0 per the envelope in the module docstring.
     """
     c_lo, c_hi, log_scale, log_geometric = params
-    if log_geometric is None:
-        return math.inf
     d = _interval_distance(z, c_lo, c_hi) * (1.0 - 1e-12)
     if d <= 0.0:
         return math.inf
@@ -422,19 +399,12 @@ def _plan_window(kern: _Kernel, z: complex, tol: float) -> tuple[int, float, flo
 # ---------------------------------------------------------------------------
 
 
-def evaluate_halves(
-    spec: SeriesSpec,
-    z: complex,
-    tol: float = 1e-10,
-    *,
-    guard_eps: float = GUARD_EPS,
-) -> tuple[SeriesResult, SeriesResult]:
-    """Windowed half sums over j <= 0 and j >= 1, each with its own tail bound.
+def _evaluate(spec: SeriesSpec, z: complex, tol: float, guard_eps: float) -> tuple:
+    """The one evaluation core: validate, guard, plan the window and sum
+    both halves.  Returns (J, minus, plus, neg_tail, pos_tail, certified).
 
     Each half is accumulated from its far end inward (ascending term
-    magnitude) with Kahan compensation; `evaluate` adds the two half values,
-    so the decomposition identity holds bit-exactly.  z must be finite and
-    guard_eps >= 0 (0 turns the guard off); anything else is a ValueError.
+    magnitude) with Kahan compensation.
     """
     if not (tol >= MIN_TOL):
         raise ValueError(f"tol must be >= {MIN_TOL}")
@@ -444,12 +414,30 @@ def evaluate_halves(
     if not (guard_eps >= 0):
         raise ValueError(f"guard_eps must be >= 0, got {guard_eps}")
     kern = _kernel(spec)
-    certified = kern.certified
-    _check_guard(spec.seq, z, guard_eps)
+    d = pole_distance(spec.seq, z)
+    if d < guard_eps:
+        raise PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {guard_eps:.1e})")
     J, neg_tail, pos_tail = _plan_window(kern, z, tol)
     neg, pos = kern.rows_upto(J + 1)
     minus = _half_sum(neg[J::-1], z, -spec.weight, -J, 1)
     plus = _half_sum(pos[J:0:-1], z, -spec.weight, J, -1)
+    return J, minus, plus, neg_tail, pos_tail, kern.certified
+
+
+def evaluate_halves(
+    spec: SeriesSpec,
+    z: complex,
+    tol: float = 1e-10,
+    *,
+    guard_eps: float = GUARD_EPS,
+) -> tuple[SeriesResult, SeriesResult]:
+    """Windowed half sums over j <= 0 and j >= 1, each with its own tail bound.
+
+    Both halves come from the same core as `evaluate`, whose value is their
+    sum, so the decomposition identity holds bit-exactly.  z must be finite
+    and guard_eps >= 0 (0 turns the guard off); anything else is a ValueError.
+    """
+    J, minus, plus, neg_tail, pos_tail, certified = _evaluate(spec, z, tol, guard_eps)
     return (
         SeriesResult(minus, neg_tail, -J, 0, certified),
         SeriesResult(plus, pos_tail, 1, J, certified),
@@ -465,14 +453,9 @@ def evaluate(
 ) -> SeriesResult:
     """Windowed bilateral sum with |omitted mass| <= tail_bound.
 
-    The value is exactly the sum of the two half results of
-    `evaluate_halves` at the same window.
+    One result from the core behind `evaluate_halves`: the value is exactly
+    the sum of the two half values at the same window, and the tail bound
+    the sum of the two half bounds.
     """
-    minus, plus = evaluate_halves(spec, z, tol, guard_eps=guard_eps)
-    return SeriesResult(
-        minus.value + plus.value,
-        minus.tail_bound + plus.tail_bound,
-        minus.j_min,
-        plus.j_max,
-        minus.certified,
-    )
+    J, minus, plus, neg_tail, pos_tail, certified = _evaluate(spec, z, tol, guard_eps)
+    return SeriesResult(minus + plus, neg_tail + pos_tail, -J, J, certified)

@@ -164,10 +164,8 @@ def check_identity(
         z = _sample_annulus(rng)
         if pole_distance(spec.seq, z) < REJECT_RADIUS:
             continue
-        try:
-            image = mobius_apply(mat, z)
-        except MobiusPole:
-            continue
+        # No pole: S has denominator z, |z| >= 0.2; mirror matrices have 1.
+        image = mobius_apply(mat, z)
         if pole_distance(spec.seq, image) < REJECT_RADIUS:
             continue
         factor = _factor(mat.r * z + mat.s, weight)

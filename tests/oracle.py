@@ -53,9 +53,13 @@ def brute_force_oracle(spec: SeriesSpec, z: complex, J: int) -> complex:
     return complex(_oracle_mp(spec, z, range(-J, J + 1)))
 
 
-def omitted(spec: SeriesSpec, z: complex, J: int, extra: int) -> float:
-    """|sum of the terms with J < |j| <= J + extra|, summed directly."""
+def omitted(spec: SeriesSpec, z: complex, J: int, extra: int, sides=(-1, 1)) -> float:
+    """|sum of the terms with J < |j| <= J + extra|, summed directly.
+
+    `sides` picks the half: (-1,) sums the terms j < -J only, (1,) the
+    terms j > J only.
+    """
     if J + extra > ORACLE_CAP:
         raise ValueError(f"oracle window capped at {ORACLE_CAP}")
-    indices = [j for k in range(J + 1, J + extra + 1) for j in (-k, k)]
+    indices = [s * k for k in range(J + 1, J + extra + 1) for s in sides]
     return float(abs(_oracle_mp(spec, z, indices)))

@@ -45,6 +45,12 @@ def test_eval_pole_exit(capsys):
     code, out = run_cli(capsys, ["eval", "--seq", "fib", "--weight", "4", "--z", "1.0,0.0"])
     assert code == 2
     assert out == ""
+    # With the guard off the same pole ends at the exactly vanishing term.
+    code = main(["eval", "--seq", "fib", "--weight", "4", "--z", "1,0", "--guard-eps", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "term -1 denominator vanishes exactly at z = (1+0j)" in captured.err
 
 
 def test_eval_usage_errors(capsys):
@@ -65,18 +71,20 @@ def test_eval_tolerance_unreachable_exit(capsys):
     # heuristic tails never meet any tolerance.  second:(5, 6): the terms
     # grow past double range, which ends the same way, with one line; so
     # does a term that overflows next to a pole with the guard off, in
-    # either output format.
-    for args in (
-        ["--seq", "lucas-first:3:2", "--uncertified", "--z", "0.3,0.7"],
-        ["--seq", "lucas-second:5:6", "--uncertified", "--z", "0.3,0.7"],
-        ["--seq", "fib", "--z=-1,1e-200", "--guard-eps", "0"],
-        ["--seq", "fib", "--z=-1,1e-200", "--guard-eps", "0", "--format", "human"],
+    # either output format, and the window cap on the accumulation point.
+    for args, message in (
+        (["--seq", "lucas-first:3:2", "--uncertified", "--z", "0.3,0.7"], "not decaying"),
+        (["--seq", "lucas-second:5:6", "--uncertified", "--z", "0.3,0.7"], "overflow"),
+        (["--seq", "fib", "--z=-1,1e-200", "--guard-eps", "0"], "overflow"),
+        (["--seq", "fib", "--z=-1,1e-200", "--guard-eps", "0", "--format", "human"], "overflow"),
+        (["--seq", "fib", "--z", "1.618033988749895,0", "--guard-eps", "0"], "window cap 10000 hit"),
     ):
         code = main(["eval", "--weight", "4", *args])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
     # A huge z has a value: only the j = 0 term, 1, survives, also where
     # other denominators (1e307) or |z| itself (1.7e308) pass double range.
     for z in ("1e300,1e300", "1e307,1e307", "1.7e308,1.7e308"):
@@ -372,6 +380,22 @@ def test_rejected_values_exit_64_with_one_line(tmp_path, capsys, args):
         (["poles", "--seq", "fib", "--nmin", "1", "--nmax", "3", "--variant", "standard"], "unrecognized"),
         (["check", "--identity", "inversion", "--seq", "fib", "--samples", "2", "--uncertified"], "unrecognized"),
         (["matrix", "--fib-power", "20577"], "argument --fib-power"),
+        (
+            ["grid", "--seq", "fib", "--weight", "4", "--window=2,1,0,1", "--res", "4x4", "--out", "x.ppm"],
+            "argument --window",
+        ),
+        (
+            ["grid", "--seq", "fib", "--weight", "4", "--window=a,2,-2,2", "--res", "4x4", "--out", "x.ppm"],
+            "argument --window",
+        ),
+        (
+            ["grid", "--seq", "fib", "--weight", "4", "--window=-1,1,-1,1", "--res", "0x5", "--out", "x.ppm"],
+            "argument --res",
+        ),
+        (
+            ["grid", "--seq", "fib", "--weight", "4", "--window=-1,1,-1,1", "--res", "5", "--out", "x.ppm"],
+            "argument --res",
+        ),
     ],
 )
 def test_out_of_range_and_removed_options_exit_64(capsys, args, message):

@@ -147,6 +147,28 @@ def test_tail_soundness_quick():
         assert omitted(spec, z, res.j_max, 20) <= res.tail_bound
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        F4,
+        SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE),
+        SeriesSpec(LUCAS_NUMBERS, 6),
+        SeriesSpec(SequenceSpec(-2, -1, Kind.SECOND), 4),
+        SeriesSpec(SequenceSpec(3, -1), 2),
+    ],
+)
+def test_each_half_tail_covers_its_own_omitted_terms(spec):
+    # Next to an accumulation point one half's poles crowd in and the
+    # other's stay far, so a half bounded with the other half's tail
+    # parameters fails here.
+    for p in pole_map(spec.seq, 1, 1).accumulation_points:
+        for z in (complex(p + dx, y) for dx in (-0.05, 0.05) for y in (0.02, 0.2)):
+            minus, plus = evaluate_halves(spec, z, 1e-10)
+            J = plus.j_max
+            assert omitted(spec, z, J, 40, sides=(-1,)) <= minus.tail_bound
+            assert omitted(spec, z, J, 40, sides=(1,)) <= plus.tail_bound
+
+
 def test_evaluate_agrees_with_oracle():
     for spec, z in [(F4, Z0), (F3, Z0), (L4, 2j), (F2, -1.1 + 0.9j)]:
         res = evaluate(spec, z, 1e-11)
