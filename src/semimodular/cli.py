@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import colorsys
+import functools
 import json
 import math
 import re
@@ -282,19 +283,41 @@ def render_grid(
     z = x0 + (i+0.5)*(x1-x0)/W + i*(y1 - (j+0.5)*(y1-y0)/H).  Pixels whose
     evaluation trips the pole guard (or cannot reach tol) render black.
     Output bytes depend only on the arguments.
+
+    Every coefficient is a real integer, so f(conj z) == conj(f(z)) bit for
+    bit (errors included).  A row whose im is exactly -im of a later row is
+    therefore evaluated once: its pixels are encoded both as computed and
+    conjugated, and the later row takes the conjugated bytes (black stays
+    black).  A kept row is dropped once its twin has used it.  The bytes are
+    those of evaluating every pixel.
     """
     x0, x1, y0, y1 = window
+    reals = [x0 + (i + 0.5) * (x1 - x0) / width for i in range(width)]
+    ims = [y1 - (j + 0.5) * (y1 - y0) / height for j in range(height)]
+    # im = 0 is its own twin; its row is never conjugated.
+    rows = set(ims)
+    twinned = {im for im in rows if im != 0 and -im in rows}
+    kept: dict[float, bytearray] = {}
     out = bytearray(b"P6\n%d %d\n255\n" % (width, height))
-    for j in range(height):
-        im = y1 - (j + 0.5) * (y1 - y0) / height
-        for i in range(width):
-            re = x0 + (i + 0.5) * (x1 - x0) / width
+    for im in ims:
+        mirrored = kept.pop(-im, None)
+        if mirrored is not None:
+            out += mirrored
+            continue
+        twin = bytearray() if im in twinned else None
+        for re in reals:
             try:
                 value = evaluate(spec, complex(re, im), tol, guard_eps=guard_eps).value
             except (PoleProximity, ToleranceUnreachable):
-                out.extend((0, 0, 0))
+                out += b"\0\0\0"
+                if twin is not None:
+                    twin += b"\0\0\0"
                 continue
             out.extend(_pixel_color(value))
+            if twin is not None:
+                twin.extend(_pixel_color(value.conjugate()))
+        if twin is not None:
+            kept[im] = twin
     return bytes(out)
 
 
@@ -383,9 +406,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser per process: parsing leaves no state in it, and argparse reads
+# sys.stdout, sys.stderr and the terminal width when it prints.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -377,7 +377,12 @@ def _plan_window(kern: _Kernel, z: complex, tol: float) -> tuple[int, float, flo
         if kern.certified:
             neg_params, pos_params = kern.tail_params(J + 1)
             neg = _certified_side_tail(neg_params, z, m)
-            pos = _certified_side_tail(pos_params, z, m)
+            # Below the cap a failed negative side doubles J whatever the
+            # positive side says; the cap message reads both.
+            if neg <= tol / 2 or J >= MAX_WINDOW:
+                pos = _certified_side_tail(pos_params, z, m)
+            else:
+                pos = math.inf
         else:
             neg_row, pos_row = kern.rows_upto(J + 4)
             neg = _heuristic_side_tail(neg_row, z, m, J + 1, -1)

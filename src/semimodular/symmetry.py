@@ -11,7 +11,8 @@ convention (f|M)(z) = (r*z + s)**(-2k) * f((p*z + q)/(r*z + s)):
 `check_identity` samples a reproducible annulus, rejects points too close
 to the pole lattice (for the point and its image), and reports per-sample
 residuals against a tolerance built from both evaluations' certified tail
-bounds plus a rounding floor scaled by the automorphy factor.
+bounds, a rounding floor in |z| and a first-order rounding term that scales
+with both values and the automorphy factor.
 
 The module also exposes the half-sum manipulation steps that make the
 identities work for every certified sequence (shift by the recursion
@@ -43,6 +44,8 @@ SAMPLE_RADIUS_MAX = 5.0
 REJECT_RADIUS = 0.05
 # Rounding floor per sample: FLOOR_COEFF * (1 + |z|)**weight.
 FLOOR_COEFF = 1e-9
+# Unit roundoff of a double.
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -162,17 +165,25 @@ def check_identity(
         if attempts > 1000 * n_samples:
             raise RuntimeError("sampling stalled; rejection region too large")
         z = _sample_annulus(rng)
-        if pole_distance(spec.seq, z) < REJECT_RADIUS:
+        z_distance = pole_distance(spec.seq, z)
+        if z_distance < REJECT_RADIUS:
             continue
         # No pole: S has denominator z, |z| >= 0.2; mirror matrices have 1.
         image = mobius_apply(mat, z)
-        if pole_distance(spec.seq, image) < REJECT_RADIUS:
+        image_distance = pole_distance(spec.seq, image)
+        if image_distance < REJECT_RADIUS:
             continue
         factor = _factor(mat.r * z + mat.s, weight)
         lhs = evaluate(spec, image, eval_tol)
         rhs = evaluate(spec, z, eval_tol)
-        residual = abs(factor * lhs.value - rhs.value)
-        tolerance = _tolerance(rhs, factor, lhs, z, weight)
+        slashed = factor * lhs.value
+        residual = abs(slashed - rhs.value)
+        rounding = 4.0 * (
+            _value_rounding(z, z_distance, rhs.value, weight)
+            + abs(factor) * _value_rounding(image, image_distance, lhs.value, weight)
+            + 2.0 * UNIT_ROUNDOFF * abs(slashed)
+        )
+        tolerance = _tolerance(rhs, factor, lhs, z, weight, rounding)
         points.append(z)
         residuals.append(residual)
         tolerances.append(tolerance)
@@ -203,18 +214,42 @@ class StepCheck:
         return self.residual <= self.tolerance
 
 
+def _value_rounding(point: complex, distance: float, value: complex, weight: int) -> float:
+    """First-order rounding allowance of a computed f(point) of this weight,
+    `distance` being `pole_distance` at point.
+
+    Per term the relative error is at most u (m (kappa + 6) + 4), with u the
+    unit roundoff and kappa the conditioning of the term's denominator; the
+    compensated sum adds 3u.  Each denominator is c1 (point + r) with -r a
+    guarded pole, and |r| <= |point| + |point + r|, so
+    kappa = (2|point| + |r|)/|point + r| <= 1 + 3|point|/distance.  The term
+    is first-order and takes |value| as the term mass, so cancellation
+    between terms is not covered; ROADMAP item 3 certifies it later.
+    """
+    kappa = 1.0 + 3.0 * abs(point) / distance
+    return UNIT_ROUNDOFF * (weight * (kappa + 6.0) + 4.0) * abs(value) + 3.0 * UNIT_ROUNDOFF * abs(value)
+
+
 def _tolerance(
-    plain: SeriesResult, factor: complex, slashed: SeriesResult, z: complex, weight: int
+    plain: SeriesResult,
+    factor: complex,
+    slashed: SeriesResult,
+    z: complex,
+    weight: int,
+    rounding: float = 0.0,
 ) -> float:
     """Allowed |plain.value - factor * slashed.value| (less any exact boundary
-    constant): both certified tails plus the rounding floor at z.  A floor
-    past double range would pass any residual, so it is ToleranceUnreachable.
+    constant): both certified tails, the rounding floor at z and the given
+    rounding allowance.  A floor or allowance past double range would pass
+    any residual, so it is ToleranceUnreachable.
     """
     try:
         floor = FLOOR_COEFF * (1.0 + abs(z)) ** weight
     except OverflowError:
         raise ToleranceUnreachable(f"rounding floor (1 + |z|)**{weight} overflows double range at z = {z}") from None
-    return plain.tail_bound + abs(factor) * slashed.tail_bound + floor
+    if not math.isfinite(rounding):
+        raise ToleranceUnreachable(f"rounding allowance leaves double range at z = {z}")
+    return plain.tail_bound + abs(factor) * slashed.tail_bound + floor + rounding
 
 
 def _side(spec: SeriesSpec, point: complex, part: str, tol: float) -> SeriesResult:

@@ -12,8 +12,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semimodular import cli
 from semimodular.cli import main, render_grid, _pixel_color
-from semimodular import FIBONACCI, INDEX_CAP, SeriesSpec, evaluate
+from semimodular import (
+    FIBONACCI,
+    GUARD_EPS,
+    INDEX_CAP,
+    PoleProximity,
+    SequenceSpec,
+    SeriesSpec,
+    ToleranceUnreachable,
+    Variant,
+    evaluate,
+)
 
 
 def run_cli(capsys, args):
@@ -325,6 +336,64 @@ def test_grid_mirror_symmetry():
             assert max(abs(x - y) for x, y in zip(a, b)) <= 1, (i, j)
             checked += 1
     assert checked > 300
+
+
+def _unmirrored_grid(spec, window, width, height, tol=1e-8, guard_eps=GUARD_EPS):
+    """`render_grid` without row reuse: one evaluation per pixel."""
+    x0, x1, y0, y1 = window
+    out = bytearray(b"P6\n%d %d\n255\n" % (width, height))
+    for j in range(height):
+        im = y1 - (j + 0.5) * (y1 - y0) / height
+        for i in range(width):
+            re = x0 + (i + 0.5) * (x1 - x0) / width
+            try:
+                out.extend(_pixel_color(evaluate(spec, complex(re, im), tol, guard_eps=guard_eps).value))
+            except (PoleProximity, ToleranceUnreachable):
+                out.extend((0, 0, 0))
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "spec, window, width, height, guard_eps, computed",
+    [
+        (SeriesSpec(FIBONACCI, 4), (-2.0, 2.0, -2.0, 2.0), 16, 16, GUARD_EPS, 16 * 8),
+        # Rows at im 2.5, 1.5, 0.5, -0.5: only the last pair mirrors.
+        (SeriesSpec(FIBONACCI, 4), (-2.0, 2.0, -1.0, 3.0), 9, 4, GUARD_EPS, 9 * 3),
+        (SeriesSpec(SequenceSpec(3, 1), 4), (-1.5, 2.5, -2.0, 2.0), 11, 8, GUARD_EPS, 11 * 4),
+        (SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE), (-2.0, 2.0, -2.0, 2.0), 12, 8, GUARD_EPS, 12 * 4),
+        # Pixels on the exact poles -1 and 1 of the real row; the row at
+        # im = 0 is its own twin and is evaluated.
+        (SeriesSpec(FIBONACCI, 4), (-3.5, 1.5, -2.5, 2.5), 5, 5, 0.0, 5 * 3),
+    ],
+    ids=["symmetric", "asymmetric", "exploration-b1", "footnote", "guard-off"],
+)
+def test_render_grid_matches_unmirrored(monkeypatch, spec, window, width, height, guard_eps, computed):
+    want = _unmirrored_grid(spec, window, width, height, guard_eps=guard_eps)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    assert render_grid(spec, window, width, height, guard_eps=guard_eps) == want
+    assert len(calls) == computed
+
+
+def test_reused_parser_keeps_defaults(capsys):
+    base = ["eval", "--seq", "fib", "--weight", "4", "--z", "0.3,0.7"]
+    code, out = run_cli(capsys, base + ["--format", "human"])
+    assert code == 0 and out.startswith("value = ")
+    code = main(["eval", "--seq", "bogus", "--weight", "4", "--z", "0,0", "--format", "human"])
+    assert code == 64
+    capsys.readouterr()
+    code, out = run_cli(capsys, base)
+    assert code == 0 and records(out)[0]["command"] == "eval"
+    code = main(["grid", "--seq", "fib", "--weight", "4", "--window=2,1,0,1", "--res", "4x4", "--out", "x.ppm"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert "argument --window" in captured.err.splitlines()[-1]
+    assert cli._parser() is cli._parser()
 
 
 def test_human_format(capsys):

@@ -1,6 +1,8 @@
 """Series evaluation, tail certificates, pole maps, and the brute-force oracle."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from semimodular import (
     pole_map,
     seq_value,
 )
+from semimodular import series
 from semimodular.series import _coeffs
 from oracle import brute_force_oracle, omitted
 
@@ -275,3 +278,58 @@ def test_tail_bound_monotone_soundness_example():
     # |terms with J < |j| <= J+20| <= tail bound reported at window J.
     res = evaluate(F4, Z0, 1e-10)
     assert omitted(F4, Z0, res.j_max, 20) <= res.tail_bound
+
+
+def _plan_window_both_sides(kern, z, tol):
+    """The window planner evaluating both certified side tails at every step."""
+    m = kern.spec.weight
+    J = series.START_WINDOW
+    while True:
+        neg_params, pos_params = kern.tail_params(J + 1)
+        neg = series._certified_side_tail(neg_params, z, m)
+        pos = series._certified_side_tail(pos_params, z, m)
+        if neg <= tol / 2 and pos <= tol / 2:
+            return J, neg, pos
+        if J >= series.MAX_WINDOW:
+            raise ToleranceUnreachable(
+                f"window cap {series.MAX_WINDOW} hit with side tails ({neg:.3e}, {pos:.3e}) > {tol:.1e}/2"
+            )
+        J = min(J * 2, series.MAX_WINDOW)
+
+
+def test_planner_matches_both_sides_reference():
+    rng = random.Random(2013)
+    specs = [
+        F4,
+        SeriesSpec(LUCAS_NUMBERS, 6),
+        SeriesSpec(SequenceSpec(3, -1), 2),
+        SeriesSpec(SequenceSpec(-2, -1, Kind.SECOND), 4),
+        SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE),
+        SeriesSpec(FIBONACCI, 12),
+    ]
+    phi = (1 + 5**0.5) / 2
+    # Exactly at an accumulation point the tails never shrink: the cap.
+    cases = [(F4, complex(phi, 0.0), 1e-10), (F4, complex(-1 / phi, 0.0), 1e-8)]
+    for _ in range(400):
+        spec = rng.choice(specs)
+        r = rng.random()
+        if r < 0.6:
+            z = cmath.rect(rng.uniform(0.2, 5.0), rng.uniform(-math.pi, math.pi))
+        else:
+            # Next to a pole or accumulation point, where the window grows.
+            p = rng.choice(series._guard_points(spec.seq))
+            z = p + cmath.rect(10 ** rng.uniform(-6, -1), rng.uniform(-math.pi, math.pi))
+        cases.append((spec, z, 10 ** rng.uniform(-13, -6)))
+    capped = 0
+    for spec, z, tol in cases:
+        kern = series._kernel(spec)
+        try:
+            want = _plan_window_both_sides(kern, z, tol)
+        except ToleranceUnreachable as exc:
+            with pytest.raises(ToleranceUnreachable) as got:
+                series._plan_window(kern, z, tol)
+            assert str(got.value) == str(exc)
+            capped += 1
+            continue
+        assert series._plan_window(kern, z, tol) == want, (spec, z, tol)
+    assert capped >= 2

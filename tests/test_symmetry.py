@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from semimodular import symmetry
 from semimodular import (
     FIBONACCI,
     IDENTITY,
@@ -148,6 +149,26 @@ def test_check_identity_footnote_variant():
     spec = SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE)
     assert check_identity(spec, InversionS(), n_samples=20, seed=9).passed
     assert check_identity(spec, MirrorPa(1), n_samples=20, seed=9).passed
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [(InversionS(), 4), (InversionS(), 64), (MirrorPa(1), 215690), (MirrorPa(1), 241267)],
+)
+def test_matched_scan_near_pole_passes_at_weight_6(kind, seed):
+    # Each scan has samples near a Fibonacci pole where |f| reaches ~1e7 and
+    # the residual of an exact law is rounding alone, far above the floor
+    # 1e-9 (1 + |z|)**6: the magnitude-scaled rounding term must cover it.
+    rep = check_identity(SeriesSpec(FIBONACCI, 6), kind, seed=seed, eval_tol=1e-12)
+    assert rep.passed, (rep.max_residual, max(r / t for r, t in zip(rep.residuals, rep.tolerances)))
+
+
+def test_infinite_rounding_allowance_is_unreachable():
+    # An overflowing factor * f(image) makes the residual infinite; an
+    # infinite allowance would pass it.
+    res = evaluate(F4, 0.3 + 0.7j)
+    with pytest.raises(ToleranceUnreachable, match="rounding allowance"):
+        symmetry._tolerance(res, 1.0, res, 0.3 + 0.7j, 4, math.inf)
 
 
 def test_negative_control_fails_loudly():
