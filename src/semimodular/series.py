@@ -320,7 +320,7 @@ def _tail_params(spec: SeriesSpec, edge: int) -> tuple[tuple, tuple]:
     ratios are nonzero with the sign of a and g = |a| + min|I| > 1.
     """
     seq = spec.seq
-    info = growth_info(seq, max(3, edge - 1))
+    info = growth_info(seq, edge - 1)
     lo, hi = info.ratio_lo, info.ratio_hi
     g = float(Fraction(abs(seq.a)) + info.min_abs_ratio())
     log_geometric = math.log1p(-(g**-spec.weight))
@@ -411,8 +411,8 @@ def _evaluate(spec: SeriesSpec, z: complex, tol: float, guard_eps: float) -> tup
     Each half is accumulated from its far end inward (ascending term
     magnitude) with Kahan compensation.
     """
-    if not (tol >= MIN_TOL):
-        raise ValueError(f"tol must be >= {MIN_TOL}")
+    if not (MIN_TOL <= tol < math.inf):
+        raise ValueError(f"tol must be finite and >= {MIN_TOL}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"z must be finite, got {z}")

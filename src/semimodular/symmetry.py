@@ -10,14 +10,13 @@ convention (f|M)(z) = (r*z + s)**(-2k) * f((p*z + q)/(r*z + s)):
 
 `check_identity` samples a reproducible annulus, rejects points too close
 to the pole lattice (for the point and its image), and reports per-sample
-residuals against a tolerance built from both evaluations' certified tail
+residuals.  The module also exposes the half-sum manipulation steps that
+make the identities work for every certified sequence (shift by the
+recursion coefficient, negation, their unilateral versions, whose boundary
+terms and half swaps are the whole story).  Both compare the two sides in
+one way (`_compare`): the tolerance is both evaluations' certified tail
 bounds, a rounding floor in |z| and a first-order rounding term that scales
 with both values and the automorphy factor.
-
-The module also exposes the half-sum manipulation steps that make the
-identities work for every certified sequence (shift by the recursion
-coefficient, negation, their unilateral versions, whose boundary terms and
-half swaps are the whole story).  Each is a numerically checkable claim.
 """
 
 from __future__ import annotations
@@ -154,7 +153,6 @@ def check_identity(
         )
 
     mat = matrix_for(kind)
-    weight = spec.weight
     rng = random.Random(seed)
     points: list[complex] = []
     residuals: list[float] = []
@@ -173,17 +171,11 @@ def check_identity(
         image_distance = pole_distance(spec.seq, image)
         if image_distance < REJECT_RADIUS:
             continue
-        factor = _factor(mat.r * z + mat.s, weight)
-        lhs = evaluate(spec, image, eval_tol)
-        rhs = evaluate(spec, z, eval_tol)
-        slashed = factor * lhs.value
-        residual = abs(slashed - rhs.value)
-        rounding = 4.0 * (
-            _value_rounding(z, z_distance, rhs.value, weight)
-            + abs(factor) * _value_rounding(image, image_distance, lhs.value, weight)
-            + 2.0 * UNIT_ROUNDOFF * abs(slashed)
+        factor = _factor(mat.r * z + mat.s, spec.weight)
+        plain, slashed, tolerance = _compare(
+            spec, (z, "full", z_distance), (image, "full", image_distance), factor, z, eval_tol
         )
-        tolerance = _tolerance(rhs, factor, lhs, z, weight, rounding)
+        residual = abs(slashed - plain)
         points.append(z)
         residuals.append(residual)
         tolerances.append(tolerance)
@@ -230,34 +222,42 @@ def _value_rounding(point: complex, distance: float, value: complex, weight: int
     return UNIT_ROUNDOFF * (weight * (kappa + 6.0) + 4.0) * abs(value) + 3.0 * UNIT_ROUNDOFF * abs(value)
 
 
-def _tolerance(
-    plain: SeriesResult,
-    factor: complex,
-    slashed: SeriesResult,
-    z: complex,
-    weight: int,
-    rounding: float = 0.0,
-) -> float:
-    """Allowed |plain.value - factor * slashed.value| (less any exact boundary
-    constant): both certified tails, the rounding floor at z and the given
-    rounding allowance.  A floor or allowance past double range would pass
-    any residual, so it is ToleranceUnreachable.
-    """
-    try:
-        floor = FLOOR_COEFF * (1.0 + abs(z)) ** weight
-    except OverflowError:
-        raise ToleranceUnreachable(f"rounding floor (1 + |z|)**{weight} overflows double range at z = {z}") from None
-    if not math.isfinite(rounding):
-        raise ToleranceUnreachable(f"rounding allowance leaves double range at z = {z}")
-    return plain.tail_bound + abs(factor) * slashed.tail_bound + floor + rounding
-
-
 def _side(spec: SeriesSpec, point: complex, part: str, tol: float) -> SeriesResult:
     """The "full" sum at point, or its "minus" (j <= 0) or "plus" (j >= 1) half."""
     if part == "full":
         return evaluate(spec, point, tol)
     minus, plus = evaluate_halves(spec, point, tol)
     return minus if part == "minus" else plus
+
+
+def _compare(spec: SeriesSpec, left: tuple, right: tuple, factor: complex, z: complex, tol: float) -> tuple:
+    """The one identity comparison: f(p) against factor * f(q).
+
+    `left` and `right` are (point, `_side` part, pole_distance at point) of
+    p and q; q is evaluated first, so a scan reports its image's error.
+    Returns f(p), factor * f(q) and the allowed residual between them: both
+    certified tails, the rounding floor at z, and four times the first-order
+    rounding of f(p), of f(q) scaled by |factor| and of the product.  A floor
+    or rounding term past double range would pass any residual, so it is
+    ToleranceUnreachable.
+    """
+    (p, p_part, p_distance), (q, q_part, q_distance) = left, right
+    other = _side(spec, q, q_part, tol)
+    plain = _side(spec, p, p_part, tol)
+    scaled = factor * other.value
+    weight = spec.weight
+    try:
+        floor = FLOOR_COEFF * (1.0 + abs(z)) ** weight
+    except OverflowError:
+        raise ToleranceUnreachable(f"rounding floor (1 + |z|)**{weight} overflows double range at z = {z}") from None
+    rounding = 4.0 * (
+        _value_rounding(p, p_distance, plain.value, weight)
+        + abs(factor) * _value_rounding(q, q_distance, other.value, weight)
+        + 2.0 * UNIT_ROUNDOFF * abs(scaled)
+    )
+    if not math.isfinite(rounding):
+        raise ToleranceUnreachable(f"rounding allowance leaves double range at z = {z}")
+    return plain.value, scaled, plain.tail_bound + abs(factor) * other.tail_bound + floor + rounding
 
 
 # name -> (left point z + a or -z, left part, right part at 1/z, sign of
@@ -294,8 +294,8 @@ def proof_step(
 
     B = (L(1) + L(0)*z)**(-2k) is the j = 1 term of z**(-2k) f(1/z), the
     one the shift moves across the split: 1 for every first-kind sequence,
-    (a + 2z)**(-2k) for the second kind.  The tolerance combines both
-    sides' certified tails with the rounding floor.
+    (a + 2z)**(-2k) for the second kind.  Both sides are compared as in
+    `check_identity`, with the floor at z; B's own rounding is not covered.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -306,11 +306,10 @@ def proof_step(
 
     move, left, right, sign = _STEPS[name]
     weight = 2 * k
-    spec = SeriesSpec(seq, weight)
     factor = _factor(z, weight)
-    lhs = _side(spec, z + seq.a if move == "shift" else -z, left, eval_tol)
-    rhs = _side(spec, 1 / z, right, eval_tol)
-    boundary = sign * _factor(seq_value(seq, 1) + seq_value(seq, 0) * z, weight) if sign else 0
-    return StepCheck(
-        name, z, lhs.value, factor * rhs.value + boundary, _tolerance(lhs, factor, rhs, z, weight)
+    p, q = z + seq.a if move == "shift" else -z, 1 / z
+    lhs, rhs, tolerance = _compare(
+        SeriesSpec(seq, weight), (p, left, pole_distance(seq, p)), (q, right, pole_distance(seq, q)), factor, z, eval_tol
     )
+    boundary = sign * _factor(seq_value(seq, 1) + seq_value(seq, 0) * z, weight) if sign else 0
+    return StepCheck(name, z, lhs, rhs + boundary, tolerance)

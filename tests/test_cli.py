@@ -442,6 +442,27 @@ def test_rejected_values_exit_64_with_one_line(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--seq", "fib", "--weight", "4", "--z", "1.618033988749895,0", "--guard-eps", "0"],
+        ["grid", "--seq", "fib", "--weight", "4", "--window=-1,1,-1,1", "--res", "2x2"],
+        ["check", "--identity", "inversion", "--seq", "fib", "--k", "2", "--samples", "5"],
+    ],
+)
+def test_infinite_tol_exits_64_naming_tol(tmp_path, capsys, args):
+    out_path = tmp_path / "never.ppm"
+    if args[0] == "grid":
+        args = args + ["--out", str(out_path)]
+    code = main(args + ["--tol", "inf"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "tol" in line
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["matrix", "--fib-power", "0"], "argument --fib-power"),

@@ -107,6 +107,14 @@ def test_tol_floor():
         evaluate(F4, Z0, 1e-14)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_tol_must_be_finite(tol):
+    # An infinite tol would certify any tail: at the dominant root with the
+    # guard off the tail is infinite, and `certified=True` would be vacuous.
+    with pytest.raises(ValueError, match="tol must be finite"):
+        evaluate(F4, (1 + math.sqrt(5)) / 2, tol, guard_eps=0)
+
+
 @pytest.mark.parametrize(
     "z, guard_eps",
     [(complex(math.nan, 0.0), 1e-6), (complex(math.inf, 1.0), 1e-6), (Z0, math.nan), (Z0, -1.0)],

@@ -1,5 +1,6 @@
 """Moebius action, slash operator, identity checker, and half-sum steps."""
 
+import cmath
 import math
 import random
 
@@ -30,6 +31,7 @@ from semimodular import (
     mirror_matrix,
     mobius_apply,
     pole_distance,
+    pole_map,
     proof_step,
     slash,
 )
@@ -164,11 +166,12 @@ def test_matched_scan_near_pole_passes_at_weight_6(kind, seed):
 
 
 def test_infinite_rounding_allowance_is_unreachable():
-    # An overflowing factor * f(image) makes the residual infinite; an
-    # infinite allowance would pass it.
-    res = evaluate(F4, 0.3 + 0.7j)
+    # An overflowing factor * f(q) makes the residual infinite; an infinite
+    # allowance would pass it.
+    z = 0.3 + 0.7j
+    side = (z, "full", pole_distance(FIBONACCI, z))
     with pytest.raises(ToleranceUnreachable, match="rounding allowance"):
-        symmetry._tolerance(res, 1.0, res, 0.3 + 0.7j, 4, math.inf)
+        symmetry._compare(F4, side, side, 1e308, z, 1e-10)
 
 
 def test_negative_control_fails_loudly():
@@ -238,6 +241,45 @@ def test_lucas_steps_pass():
                         assert chk.ok, (seq, name, k, z, chk.residual, chk.tolerance)
                         checked += 1
     assert checked >= 400
+
+
+NEAR_POLE_SEQS = (FIBONACCI, LUCAS_NUMBERS, SequenceSpec(3, -1), SequenceSpec(-2, -1, Kind.SECOND))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_proof_steps_pass_near_poles(seed):
+    # z or 1/z 1e-4 to 1e-2 from a guarded pole, where |f| reaches 1e13 and
+    # an exact step's residual is mostly rounding: the steps must share the
+    # rounding term of `check_identity`, not only the tails and the floor.
+    rng = random.Random(seed)
+    for _ in range(300):
+        seq = rng.choice(NEAR_POLE_SEQS)
+        pole = float(rng.choice(pole_map(seq, -6, 6).poles))
+        w = pole + 10 ** rng.uniform(-4, -2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        z = w if rng.random() < 0.5 else 1 / w
+        name, k = rng.choice(PROOF_STEPS), rng.randint(1, 3)
+        chk = proof_step(name, k, z, seq=seq, eval_tol=1e-12)
+        assert chk.ok, (seq, name, k, z, chk.residual, chk.tolerance)
+
+
+@pytest.mark.parametrize("name", ["half-plus-shift", "half-minus-shift"])
+def test_shift_step_without_boundary_term_fails(monkeypatch, name):
+    # Negative control: with B = 1 (first kind) dropped, the shift steps
+    # must fail wherever z, z + a and 1/z keep off the poles.
+    move, left, right, _ = symmetry._STEPS[name]
+    monkeypatch.setitem(symmetry._STEPS, name, (move, left, right, 0))
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(200):
+        seq = rng.choice((FIBONACCI, SequenceSpec(3, -1), SequenceSpec(-2, -1)))
+        z = symmetry._sample_annulus(rng)
+        if any(pole_distance(seq, w) < symmetry.REJECT_RADIUS for w in (z, z + seq.a, 1 / z)):
+            continue
+        k = rng.randint(1, 3)
+        chk = proof_step(name, k, z, seq=seq, eval_tol=1e-12)
+        assert not chk.ok, (seq, k, z, chk.residual, chk.tolerance)
+        checked += 1
+    assert checked >= 150
 
 
 def test_full_steps_are_lucas_steps_at_fibonacci():
