@@ -12,7 +12,6 @@ from .errors import (
     MobiusPole,
     OddWeight,
     PoleProximity,
-    RatioBoundUnavailable,
     SemimodularError,
     ToleranceUnreachable,
     UncertifiedOnly,

@@ -1,14 +1,15 @@
 """Command-line surface: eval, check, poles, matrix, grid.
 
 Every subcommand writes json-lines records (schema field "schema": 1) to
-stdout and diagnostics to stderr.  Identical inputs produce byte-identical
-output.  Exit codes: 0 success, 1 failed identity check, 2 pole proximity,
-3 tolerance unreachable (also a term, automorphy factor or rounding floor
-past double range), 64 usage (a bad option value, or any other package
-error), 74 output I/O failure.  Every error writes a one-line message to
-stderr, after the usage text when an option is malformed.
+stdout and diagnostics to stderr.  The records are written once the command
+returns, so a run that fails writes none.  Identical inputs produce
+byte-identical output.  Exit codes: 0 success, 1 failed identity check,
+2 pole proximity, 3 tolerance unreachable (also a term, automorphy factor
+or rounding floor past double range), 64 usage (a bad option value, or any
+other package error), 74 output I/O failure.  Every error writes a one-line
+message to stderr, after the usage text when an option is malformed.
 `matrix --fib-power N` takes 1 <= N <= 20576: larger powers have entries
-too long to print.
+too long to print; `poles` exits 64 where a pole's entries are.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, record: dict, human: str) -> None:
+    """Queue one output line; `main` writes them once the command returns."""
     if args.format == "human":
-        print(human)
+        args.lines.append(human)
     else:
-        print(json.dumps({"schema": SCHEMA, **record}, separators=(",", ":"), allow_nan=False))
+        args.lines.append(json.dumps({"schema": SCHEMA, **record}, separators=(",", ":"), allow_nan=False))
 
 
 def _seq(text: str) -> SequenceSpec:
@@ -71,11 +73,8 @@ def _seq(text: str) -> SequenceSpec:
     m = _SEQ_GRAMMAR.match(text)
     if m is None:
         raise argparse.ArgumentTypeError(f"bad sequence selector {text!r} (use fib, lucas, lucas-first:a:b, lucas-second:a:b)")
-    a = int(m.group(2))
-    if a == 0:
-        raise argparse.ArgumentTypeError("a = 0 is not allowed (the mirror family needs a nonzero coefficient)")
     try:
-        return SequenceSpec(a, int(m.group(3)), Kind(m.group(1)))
+        return SequenceSpec(int(m.group(2)), int(m.group(3)), Kind(m.group(1)))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -121,7 +120,7 @@ def _fib_power(text: str) -> int:
 def _gated_seq(args) -> SequenceSpec:
     """The selected sequence; uncertified ones are exploration-only."""
     if not is_certified_spec(args.seq) and not args.uncertified:
-        raise UncertifiedOnly("b != -1 is exploration-only; pass --uncertified to evaluate anyway")
+        raise UncertifiedOnly("only b = -1, a != 0 is certified; pass --uncertified to explore other sequences")
     return args.seq
 
 
@@ -154,6 +153,8 @@ def _cmd_check(args) -> int:
     seq = args.seq
     spec = SeriesSpec(seq, 2 * args.k, Variant(args.variant))
     if args.identity == "inversion":
+        if args.mirror_a is not None:
+            raise ValueError("--mirror-a applies to --identity mirror only")
         kind = InversionS()
         force = False
     else:
@@ -203,17 +204,21 @@ def _cmd_check(args) -> int:
 
 def _cmd_poles(args) -> int:
     pm = pole_map(_gated_seq(args), args.nmin, args.nmax)
-    for p in pm.poles:
-        _emit(
-            args,
-            {
-                "type": "pole",
-                "fraction": f"{p.numerator}/{p.denominator}",
-                "numerator": p.numerator,
-                "denominator": p.denominator,
-            },
-            f"pole {p.numerator}/{p.denominator}",
-        )
+    try:
+        for p in pm.poles:
+            _emit(
+                args,
+                {
+                    "type": "pole",
+                    "fraction": f"{p.numerator}/{p.denominator}",
+                    "numerator": p.numerator,
+                    "denominator": p.denominator,
+                },
+                f"pole {p.numerator}/{p.denominator}",
+            )
+    except ValueError:
+        # CPython's limit on int-to-str conversion (4300 digits by default).
+        raise ValueError("a pole has entries too long to print; narrow --nmin/--nmax") from None
     _emit(
         args,
         {
@@ -348,7 +353,7 @@ def _cmd_grid(args) -> int:
 def _add_seq_flags(sub, *, uncertified: bool = True, variant: bool = True) -> None:
     sub.add_argument("--seq", type=_seq, required=True, help="fib | lucas | lucas-first:a:b | lucas-second:a:b")
     if uncertified:
-        sub.add_argument("--uncertified", action="store_true", help="allow b != -1 exploration sequences")
+        sub.add_argument("--uncertified", action="store_true", help="allow exploration sequences outside b = -1, a != 0")
     if variant:
         sub.add_argument("--variant", choices=["standard", "footnote"], default="standard")
     _add_format_flag(sub)
@@ -377,7 +382,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--samples", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tol", type=float, default=1e-10, help="per-evaluation tolerance")
-    p_check.add_argument("--mirror-a", type=int, default=None, help="override the mirror parameter (negative control)")
+    p_check.add_argument("--mirror-a", type=int, default=None, help="override the mirror parameter (mirror only; negative control)")
     p_check.set_defaults(func=_cmd_check)
 
     p_poles = subs.add_parser("poles", help="exact pole ratios over an index range")
@@ -416,8 +421,11 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.lines = []
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.writelines(f"{line}\n" for line in args.lines)
+        return code
     except (SemimodularError, ValueError, OSError) as exc:
         print(f"semimodular: {exc}", file=sys.stderr)
         if isinstance(exc, PoleProximity):

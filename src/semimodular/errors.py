@@ -9,10 +9,6 @@ class IndexCapExceeded(SemimodularError):
     """Sequence index beyond the memory-guard cap."""
 
 
-class RatioBoundUnavailable(SemimodularError):
-    """No dominant real root, so no ratio interval can be issued."""
-
-
 class PoleProximity(SemimodularError):
     """Evaluation point too close to a pole or an accumulation point."""
 

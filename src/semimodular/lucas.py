@@ -14,16 +14,15 @@ which keeps the sign conventions single-sourced; backward recursion is only
 used as a cross-check in the test suite.  For b = +-1 every value is an
 integer; otherwise negative indices are exact rationals.
 
-`growth_info` supplies the ratio data behind the series-tail certificates:
-for b = -1 and a != 0 the consecutive ratios r(j) = L(j-1)/L(j) are iterates
-of the Moebius map x -> 1/(a + x), a decreasing contraction, so they
-alternate around the limit 1/root and each consecutive pair brackets every
-later ratio.  The exact interval spanned by the pair r(J), r(J+1) therefore
-provably contains all ratios from index J on.  (For a <= -1 the sequence is
-the a >= 1 one with alternating signs attached, so the mirrored pair has the
-same bracketing property.)  `is_certified_spec` names the recursions this
-argument covers; other recursions only get the same pair as a heuristic
-interval.
+`growth_info` supplies the ratio data behind the series-tail certificates,
+for the recursions `is_certified_spec` names (b = -1, a != 0) and no others:
+there the consecutive ratios r(j) = L(j-1)/L(j) are iterates of the Moebius
+map x -> 1/(a + x), a decreasing contraction, so they alternate around the
+limit 1/root and each consecutive pair brackets every later ratio.  The
+exact interval spanned by the pair r(J), r(J+1) therefore provably contains
+all ratios from index J on.  (For a <= -1 the sequence is the a >= 1 one
+with alternating signs attached, so the mirrored pair has the same
+bracketing property.)
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexCapExceeded, RatioBoundUnavailable
+from .errors import IndexCapExceeded, UncertifiedOnly
 
 # Values near the cap have tens of thousands of digits but stay exact.
 INDEX_CAP = 100_000
@@ -100,25 +99,16 @@ def seq_value(spec: SequenceSpec, n: int) -> Fraction:
 @dataclass(frozen=True)
 class GrowthInfo:
     """Dominant-root data plus the exact interval spanned by the ratio pair
-    r(J) = L(J-1)/L(J), r(J+1) = L(J)/L(J+1).
+    r(J) = L(J-1)/L(J), r(J+1) = L(J)/L(J+1) of a certified recursion.
 
-    Where `is_certified_spec` holds, the bracketing argument in the module
-    docstring makes the interval contain every ratio r(j) with j >= J.
-    Otherwise it carries no such claim.
+    By the bracketing argument in the module docstring the interval contains
+    every ratio r(j) with j >= J; both ends are nonzero with the sign of a.
     """
 
     dominant_root: float
     limit_ratio_neg: float
     ratio_lo: Fraction
     ratio_hi: Fraction
-
-    def min_abs_ratio(self) -> Fraction:
-        """Smallest |x| over the interval; 0 if it straddles the origin."""
-        if self.ratio_lo > 0:
-            return self.ratio_lo
-        if self.ratio_hi < 0:
-            return -self.ratio_hi
-        return Fraction(0)
 
 
 def is_certified_spec(spec: SequenceSpec) -> bool:
@@ -130,23 +120,18 @@ def is_certified_spec(spec: SequenceSpec) -> bool:
 def growth_info(spec: SequenceSpec, J: int) -> GrowthInfo:
     """Dominant root and the ratio interval spanned by r(J), r(J+1), J >= 3.
 
-    Raises RatioBoundUnavailable when x**2 = a*x - b has no strictly
-    dominant real root of modulus > 1; series evaluation then falls back to
-    heuristic mode.  Results are cached (pure function).
+    Raises UncertifiedOnly unless `is_certified_spec(spec)` holds; there
+    x**2 = a*x + 1 has the real roots (a +- sqrt(a**2 + 4))/2, and the one
+    with the sign of a is dominant, of modulus above 1.  Results are cached
+    (pure function).
     """
     if J < 3:
         raise ValueError("ratio intervals start at J >= 3")
-    disc = spec.a * spec.a - 4 * spec.b
-    if disc <= 0 or spec.a == 0:
-        raise RatioBoundUnavailable(
-            f"x^2 = {spec.a}x - ({spec.b}) has no strictly dominant real root"
-        )
-    s = math.sqrt(disc)
+    if not is_certified_spec(spec):
+        raise UncertifiedOnly("ratio intervals are certified in the b = -1, a != 0 regime only")
+    s = math.sqrt(spec.a * spec.a - 4 * spec.b)
     root = (spec.a + s) / 2.0 if spec.a > 0 else (spec.a - s) / 2.0
-    if abs(root) <= 1.0:
-        raise RatioBoundUnavailable("dominant root does not exceed modulus 1")
-
-    # With real roots of distinct moduli no L(j), j >= 1, vanishes.
+    # No L(j), j >= 1, vanishes for these recursions.
     pair = [seq_value(spec, j - 1) / seq_value(spec, j) for j in (J, J + 1)]
     return GrowthInfo(
         dominant_root=root,

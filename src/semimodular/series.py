@@ -251,6 +251,9 @@ def pole_map(seq: SequenceSpec, n_min: int, n_max: int) -> PoleMap:
     Accumulation points are reported for the b = -1 family (they are the
     dominant root and minus its reciprocal); other recursions report none.
     """
+    if n_min <= n_max:
+        # The end indices first: one past the index cap fails before any pole.
+        seq_value(seq, n_min - 1), seq_value(seq, n_max)
     poles = set()
     for n in range(n_min, n_max + 1):
         denom = seq_value(seq, n - 1)
@@ -322,7 +325,7 @@ def _tail_params(spec: SeriesSpec, edge: int) -> tuple[tuple, tuple]:
     seq = spec.seq
     info = growth_info(seq, edge - 1)
     lo, hi = info.ratio_lo, info.ratio_hi
-    g = float(Fraction(abs(seq.a)) + info.min_abs_ratio())
+    g = float(abs(seq.a) + min(abs(lo), abs(hi)))
     log_geometric = math.log1p(-(g**-spec.weight))
 
     if spec.variant is Variant.STANDARD:

@@ -203,6 +203,41 @@ def test_poles_empty_window(capsys):
     assert recs[0]["type"] == "accumulation"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # a = 0 parses like any other uncertified sequence: gated, never checked.
+        (["eval", "--seq", "lucas-first:0:-1", "--weight", "4", "--z", "0.3,0.7"], "b = -1, a != 0"),
+        (["eval", "--seq", "lucas-second:0:2", "--weight", "4", "--z", "0.3,0.7"], "b = -1, a != 0"),
+        (["poles", "--seq", "lucas-first:0:-1", "--nmin", "-3", "--nmax", "3"], "b = -1, a != 0"),
+        (["check", "--identity", "mirror", "--seq", "lucas-first:0:-1", "--k", "1", "--samples", "3"], "b = -1, a != 0"),
+        (["check", "--identity", "inversion", "--seq", "fib", "--k", "1", "--samples", "3", "--mirror-a", "5"], "--mirror-a"),
+        (["poles", "--seq", "fib", "--nmin", "0", "--nmax", "100001"], "index cap"),
+        pytest.param(
+            ["poles", "--seq", "fib", "--nmin", "20570", "--nmax", "20600"],
+            "--nmin/--nmax",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit"),
+        ),
+    ],
+)
+def test_refused_runs_print_one_line_naming_the_cause(capsys, args, message):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert message in line
+
+
+def test_a_zero_explores_with_uncertified(capsys):
+    code, out = run_cli(capsys, ["poles", "--seq", "lucas-first:0:-1", "--uncertified", "--nmin", "-3", "--nmax", "3"])
+    assert code == 0
+    assert records(out) == [
+        {"schema": 1, "type": "pole", "fraction": "0/1", "numerator": 0, "denominator": 1},
+        {"schema": 1, "type": "accumulation", "points": []},
+    ]
+
+
 def test_poles_lucas(capsys):
     code, out = run_cli(capsys, ["poles", "--seq", "lucas", "--nmin", "2", "--nmax", "4"])
     assert code == 0

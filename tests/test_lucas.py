@@ -11,8 +11,8 @@ from semimodular import (
     IndexCapExceeded,
     Kind,
     LUCAS_NUMBERS,
-    RatioBoundUnavailable,
     SequenceSpec,
+    UncertifiedOnly,
     growth_info,
     is_certified_spec,
     seq_value,
@@ -121,10 +121,25 @@ def test_growth_info_pell():
 
 
 def test_growth_info_unavailable():
-    with pytest.raises(RatioBoundUnavailable):
+    with pytest.raises(UncertifiedOnly):
         growth_info(SequenceSpec(1, 1), 5)
-    with pytest.raises(RatioBoundUnavailable):
+    with pytest.raises(UncertifiedOnly):
         growth_info(SequenceSpec(0, -1), 5)
+
+
+def test_growth_info_serves_exactly_the_certified_specs():
+    for a in range(-6, 7):
+        for b in (-2, -1, 1, 2, 3):
+            for kind in Kind:
+                spec = SequenceSpec(a, b, kind)
+                if is_certified_spec(spec):
+                    info = growth_info(spec, 5)
+                    assert abs(info.dominant_root) > 1, spec
+                    assert info.ratio_lo * info.ratio_hi > 0, spec
+                    assert (info.ratio_lo > 0) == (a > 0), spec
+                else:
+                    with pytest.raises(UncertifiedOnly):
+                        growth_info(spec, 5)
 
 
 def test_growth_info_negative_a_certified():
@@ -135,9 +150,9 @@ def test_growth_info_negative_a_certified():
 
 
 def test_growth_info_b2_heuristic():
-    info = growth_info(SequenceSpec(5, 2), 5)
     assert not is_certified_spec(SequenceSpec(5, 2))
-    assert info.dominant_root == pytest.approx((5 + 17**0.5) / 2, abs=1e-12)
+    with pytest.raises(UncertifiedOnly):
+        growth_info(SequenceSpec(5, 2), 5)
 
 
 def test_ratio_interval_brackets_later_ratios():

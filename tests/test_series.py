@@ -9,6 +9,7 @@ import pytest
 
 from semimodular import (
     FIBONACCI,
+    IndexCapExceeded,
     Kind,
     LUCAS_NUMBERS,
     PoleProximity,
@@ -251,6 +252,24 @@ def test_pole_map_fibonacci_window():
 
 def test_pole_map_skips_vanishing_denominator():
     assert pole_map(FIBONACCI, 1, 1).poles == ()
+
+
+@pytest.mark.parametrize("n_min, n_max", [(0, 100_001), (-100_001, 5), (-200_000, 200_000)])
+def test_pole_map_checks_the_index_cap_first(monkeypatch, n_min, n_max):
+    # A range past the cap fails at one of its two end indices, before any
+    # pole in the range is computed.
+    calls = []
+
+    def counted(seq, n):
+        calls.append(n)
+        return seq_value(seq, n)
+
+    monkeypatch.setattr(series, "seq_value", counted)
+    with pytest.raises(IndexCapExceeded):
+        pole_map(FIBONACCI, n_min, n_max)
+    assert len(calls) <= 2
+    # An empty range stays empty wherever it lies.
+    assert pole_map(FIBONACCI, 200_000, 3).poles == ()
 
 
 def test_pole_map_lucas_rows():
