@@ -1,13 +1,14 @@
 """Command-line surface: eval, check, poles, matrix, grid.
 
 Every subcommand writes json-lines records (schema field "schema": 1) to
-stdout and diagnostics to stderr.  The records are written once the command
-returns, so a run that fails writes none.  Identical inputs produce
-byte-identical output.  Exit codes: 0 success, 1 failed identity check,
-2 pole proximity, 3 tolerance unreachable (also a term, automorphy factor
-or rounding floor past double range), 64 usage (a bad option value, or any
-other package error), 74 output I/O failure.  Every error writes a one-line
-message to stderr, after the usage text when an option is malformed.
+stdout and diagnostics to stderr.  Each record is written as it is made, and
+every subcommand raises before its first record, so a run that fails writes
+none.  Identical inputs produce byte-identical output.  Exit codes:
+0 success, 1 failed identity check, 2 pole proximity, 3 tolerance
+unreachable (also a term, automorphy factor or rounding floor past double
+range), 64 usage (a bad option value, or any other package error), 74
+output I/O failure.  Every error writes a one-line message to stderr,
+after the usage text when an option is malformed.
 `matrix --fib-power N` takes 1 <= N <= 20576: larger powers have entries
 too long to print; `poles` exits 64 where a pole's entries are.
 """
@@ -24,7 +25,7 @@ import sys
 
 from .errors import PoleProximity, SemimodularError, ToleranceUnreachable, UncertifiedOnly
 from .gl2 import fib_matrix_check, generator_identities, P, S
-from .lucas import FIBONACCI, LUCAS_NUMBERS, Kind, SequenceSpec, is_certified_spec
+from .lucas import FIBONACCI, INDEX_CAP, LUCAS_NUMBERS, Kind, SequenceSpec, is_certified_spec
 from .series import (
     GUARD_EPS,
     SeriesSpec,
@@ -58,11 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, record: dict, human: str) -> None:
-    """Queue one output line; `main` writes them once the command returns."""
+    """Write one output line; a subcommand calls this once nothing can fail."""
     if args.format == "human":
-        args.lines.append(human)
+        line = human
     else:
-        args.lines.append(json.dumps({"schema": SCHEMA, **record}, separators=(",", ":"), allow_nan=False))
+        line = json.dumps({"schema": SCHEMA, **record}, separators=(",", ":"), allow_nan=False)
+    sys.stdout.write(f"{line}\n")
 
 
 def _seq(text: str) -> SequenceSpec:
@@ -202,23 +204,36 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_poles(args) -> int:
-    pm = pole_map(_gated_seq(args), args.nmin, args.nmax)
+def _check_printable(poles) -> None:
+    """Raise unless every entry prints: one str() of the longest entry, which
+    passes CPython's int-to-str digit limit (4300 by default) iff all do."""
     try:
-        for p in pm.poles:
-            _emit(
-                args,
-                {
-                    "type": "pole",
-                    "fraction": f"{p.numerator}/{p.denominator}",
-                    "numerator": p.numerator,
-                    "denominator": p.denominator,
-                },
-                f"pole {p.numerator}/{p.denominator}",
-            )
+        str(max((max(abs(p.numerator), p.denominator) for p in poles), default=0))
     except ValueError:
-        # CPython's limit on int-to-str conversion (4300 digits by default).
         raise ValueError("a pole has entries too long to print; narrow --nmin/--nmax") from None
+
+
+def _cmd_poles(args) -> int:
+    seq = _gated_seq(args)
+    if args.nmin <= args.nmax <= INDEX_CAP:
+        # For b = -1, a != 0 |L(n)| does not decrease as |n| grows (|n| >= 1),
+        # so the end poles carry the longest entries: their check refuses an
+        # unprintable range before the map is built.  An --nmax past the
+        # index cap is left to pole_map, which names that index at once.
+        _check_printable(pole_map(seq, args.nmin, args.nmin).poles + pole_map(seq, args.nmax, args.nmax).poles)
+    pm = pole_map(seq, args.nmin, args.nmax)
+    _check_printable(pm.poles)
+    for p in pm.poles:
+        _emit(
+            args,
+            {
+                "type": "pole",
+                "fraction": f"{p.numerator}/{p.denominator}",
+                "numerator": p.numerator,
+                "denominator": p.denominator,
+            },
+            f"pole {p.numerator}/{p.denominator}",
+        )
     _emit(
         args,
         {
@@ -421,11 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.lines = []
     try:
-        code = args.func(args)
-        sys.stdout.writelines(f"{line}\n" for line in args.lines)
-        return code
+        return args.func(args)
     except (SemimodularError, ValueError, OSError) as exc:
         print(f"semimodular: {exc}", file=sys.stderr)
         if isinstance(exc, PoleProximity):

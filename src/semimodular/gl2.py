@@ -80,7 +80,7 @@ def fib_matrix_check(n: int) -> bool:
     """True iff (P*S)**n equals [[F(n+1), F(n)], [F(n), F(n-1)]] exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    fib = lambda k: int(seq_value(FIBONACCI, k))
+    fib = lambda k: seq_value(FIBONACCI, k)
     expected = IntMat2(fib(n + 1), fib(n), fib(n), fib(n - 1))
     return (P * S).power(n) == expected
 

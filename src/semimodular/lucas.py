@@ -11,8 +11,10 @@ per spec).  Negative indices use the closed-form sign rule
     L(-n) = (-1)**l * L(n) / b**n,      l = 1 (first kind), l = 2 (second),
 
 which keeps the sign conventions single-sourced; backward recursion is only
-used as a cross-check in the test suite.  For b = +-1 every value is an
-integer; otherwise negative indices are exact rationals.
+used as a cross-check in the test suite.  `seq_value` returns each value in
+its own exact type: an `int` for every n >= 0, and for every n when
+b = +-1; a `Fraction` only for n < 0 when |b| > 1.  Code that wants a ratio
+builds it as `Fraction(p, q)`.
 
 `growth_info` supplies the ratio data behind the series-tail certificates,
 for the recursions `is_certified_spec` names (b = -1, a != 0) and no others:
@@ -62,11 +64,6 @@ class SequenceSpec:
         if self.b == 0:
             raise ValueError("b = 0 is rejected: the bilateral series built on it diverges")
 
-    @property
-    def sign_exponent(self) -> int:
-        """Exponent l in the negative-index rule L(-n) = (-1)**l * L(n) / b**n."""
-        return 1 if self.kind is Kind.FIRST else 2
-
 
 FIBONACCI = SequenceSpec(1, -1, Kind.FIRST)
 LUCAS_NUMBERS = SequenceSpec(1, -1, Kind.SECOND)
@@ -85,15 +82,15 @@ def _table(spec: SequenceSpec, upto: int) -> list[int]:
     return tab
 
 
-def seq_value(spec: SequenceSpec, n: int) -> Fraction:
-    """Exact L(n), any integer n with |n| <= INDEX_CAP."""
+def seq_value(spec: SequenceSpec, n: int) -> int | Fraction:
+    """Exact L(n), |n| <= INDEX_CAP: an int, or a Fraction for n < 0 when |b| > 1."""
     if abs(n) > INDEX_CAP:
         raise IndexCapExceeded(f"|{n}| exceeds the index cap {INDEX_CAP}")
     if n >= 0:
-        return Fraction(_table(spec, n)[n])
+        return _table(spec, n)[n]
     m = -n
-    sign = -1 if spec.sign_exponent == 1 else 1
-    return Fraction(sign * _table(spec, m)[m], spec.b**m)
+    value = -_table(spec, m)[m] if spec.kind is Kind.FIRST else _table(spec, m)[m]
+    return value * spec.b**m if abs(spec.b) == 1 else Fraction(value, spec.b**m)
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ def growth_info(spec: SequenceSpec, J: int) -> GrowthInfo:
     s = math.sqrt(spec.a * spec.a - 4 * spec.b)
     root = (spec.a + s) / 2.0 if spec.a > 0 else (spec.a - s) / 2.0
     # No L(j), j >= 1, vanishes for these recursions.
-    pair = [seq_value(spec, j - 1) / seq_value(spec, j) for j in (J, J + 1)]
+    pair = [Fraction(seq_value(spec, j - 1), seq_value(spec, j)) for j in (J, J + 1)]
     return GrowthInfo(
         dominant_root=root,
         limit_ratio_neg=-1.0 / root,

@@ -111,14 +111,14 @@ class PoleMap:
     accumulation_points: tuple[float, ...]
 
 
-def _coeffs(spec: SeriesSpec, j: int) -> tuple[Fraction, Fraction]:
+def _coeffs(spec: SeriesSpec, j: int) -> tuple[int | Fraction, int | Fraction]:
     """Exact (c1, c0) with the index-j term denominator c1*z + c0."""
     if spec.variant is Variant.STANDARD:
         return seq_value(spec.seq, j), seq_value(spec.seq, j - 1)
     return -seq_value(spec.seq, j - 1), seq_value(spec.seq, j)
 
 
-def _magnitude_bits(x: Fraction) -> int:
+def _magnitude_bits(x: int | Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
@@ -244,6 +244,17 @@ def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _pole_ratios(seq: SequenceSpec, n_min: int, n_max: int):
+    """The exact ratios L(n)/L(n-1), n_min <= n <= n_max, with L(n-1) != 0."""
+    if n_min <= n_max:
+        # The end indices first: one past the index cap fails before any pole.
+        seq_value(seq, n_min - 1), seq_value(seq, n_max)
+    for n in range(n_min, n_max + 1):
+        denom = seq_value(seq, n - 1)
+        if denom != 0:
+            yield Fraction(seq_value(seq, n), denom)
+
+
 def pole_map(seq: SequenceSpec, n_min: int, n_max: int) -> PoleMap:
     """Exact pole ratios L(n)/L(n-1) for n in [n_min, n_max], deduplicated.
 
@@ -251,16 +262,7 @@ def pole_map(seq: SequenceSpec, n_min: int, n_max: int) -> PoleMap:
     Accumulation points are reported for the b = -1 family (they are the
     dominant root and minus its reciprocal); other recursions report none.
     """
-    if n_min <= n_max:
-        # The end indices first: one past the index cap fails before any pole.
-        seq_value(seq, n_min - 1), seq_value(seq, n_max)
-    poles = set()
-    for n in range(n_min, n_max + 1):
-        denom = seq_value(seq, n - 1)
-        if denom == 0:
-            continue
-        poles.add(seq_value(seq, n) / denom)
-    return PoleMap(tuple(sorted(poles)), _accumulation_points(seq))
+    return PoleMap(tuple(sorted(set(_pole_ratios(seq, n_min, n_max)))), _accumulation_points(seq))
 
 
 def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:
@@ -272,9 +274,9 @@ def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _guard_points(seq: SequenceSpec) -> tuple[float, ...]:
-    """Sorted guarded poles plus accumulation points; all of them are real."""
-    pm = pole_map(seq, -GUARD_DEPTH, GUARD_DEPTH)
-    return tuple(sorted([float(p) for p in pm.poles] + list(pm.accumulation_points)))
+    """Sorted doubles (repeats kept) of the guarded poles and accumulation points."""
+    poles = [float(p) for p in _pole_ratios(seq, -GUARD_DEPTH, GUARD_DEPTH)]
+    return tuple(sorted(poles + list(_accumulation_points(seq))))
 
 
 def pole_distance(seq: SequenceSpec, z: complex) -> float:
@@ -333,7 +335,7 @@ def _tail_params(spec: SeriesSpec, edge: int) -> tuple[tuple, tuple]:
     else:
         sides = (((-hi, -lo), edge + 1), ((1 / hi, 1 / lo), edge - 1))
     return tuple(
-        (*_widened(min(ends), max(ends)), math.log(abs(seq_value(seq, n).numerator)), log_geometric)
+        (*_widened(min(ends), max(ends)), math.log(abs(seq_value(seq, n))), log_geometric)
         for ends, n in sides
     )
 

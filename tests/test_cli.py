@@ -218,6 +218,11 @@ def test_poles_empty_window(capsys):
             "--nmin/--nmax",
             marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit"),
         ),
+        pytest.param(
+            ["poles", "--seq", "fib", "--nmin", "20578", "--nmax", "25000"],
+            "--nmin/--nmax",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit"),
+        ),
     ],
 )
 def test_refused_runs_print_one_line_naming_the_cause(capsys, args, message):
@@ -227,6 +232,21 @@ def test_refused_runs_print_one_line_naming_the_cause(capsys, args, message):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert message in line
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("seq, last", [("fib", 20577), ("lucas-second:2:-1", 11234)])
+def test_poles_digit_limit_boundary(capsys, seq, last):
+    # The last printable --nmax prints and the next is refused before any
+    # line.  Every lucas-second:2:-1 value is even, so the reduced pole at
+    # 11234 prints although L(11234) itself has 4301 digits.
+    code, out = run_cli(capsys, ["poles", "--seq", seq, "--nmin", str(last - 2), "--nmax", str(last)])
+    assert code == 0
+    assert len(records(out)) == 4
+    code = main(["poles", "--seq", seq, "--nmin", str(last - 2), "--nmax", str(last + 1)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
 
 
 def test_a_zero_explores_with_uncertified(capsys):

@@ -69,13 +69,22 @@ def test_integrality(spec):
         assert seq_value(spec, n).denominator == 1
 
 
+@pytest.mark.parametrize("spec", SPECS + [SequenceSpec(0, 2), SequenceSpec(-3, 1, Kind.SECOND), SequenceSpec(2, -3)])
+def test_value_types(spec):
+    # An int for n >= 0, and for every n when b = +-1; a Fraction only for
+    # n < 0 when |b| > 1, even where the value is whole (L(-2) = 0 at a = 0).
+    for n in range(-40, 41):
+        want = Fraction if n < 0 and abs(spec.b) > 1 else int
+        assert type(seq_value(spec, n)) is want, (spec, n)
+
+
 def test_backward_recursion_cross_check():
     # Negative indices come from the closed-form sign rule; walking the
     # recursion backward must agree exactly, rationals included.
     for spec in SPECS:
         hi, lo = seq_value(spec, 1), seq_value(spec, 0)
         for n in range(-1, -30, -1):
-            hi, lo = lo, (spec.a * lo - hi) / spec.b
+            hi, lo = lo, Fraction(spec.a * lo - hi, spec.b)
             assert lo == seq_value(spec, n), (spec, n)
 
 
@@ -163,5 +172,5 @@ def test_ratio_interval_brackets_later_ratios():
             spec = SequenceSpec(a, -1, kind)
             info = growth_info(spec, 6)
             for j in range(6, 201):
-                r = seq_value(spec, j - 1) / seq_value(spec, j)
+                r = Fraction(seq_value(spec, j - 1), seq_value(spec, j))
                 assert info.ratio_lo <= r <= info.ratio_hi, (spec, j)

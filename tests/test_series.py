@@ -291,6 +291,17 @@ def test_pole_exactness(seq):
         ), p
 
 
+def test_guard_points_are_the_doubles_of_the_pole_map():
+    for a in range(-4, 6):
+        for b in (-3, -2, -1, 1, 2, 3):
+            for kind in Kind:
+                seq = SequenceSpec(a, b, kind)
+                pm = pole_map(seq, -series.GUARD_DEPTH, series.GUARD_DEPTH)
+                points = series._guard_points(seq)
+                assert list(points) == sorted(points), seq
+                assert set(points) == {float(p) for p in pm.poles} | set(pm.accumulation_points), seq
+
+
 def test_pole_map_no_accumulation_for_exploration():
     assert pole_map(SequenceSpec(5, 2), -5, 5).accumulation_points == ()
 

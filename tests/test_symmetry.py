@@ -33,6 +33,7 @@ from semimodular import (
     pole_distance,
     pole_map,
     proof_step,
+    seq_value,
     slash,
 )
 
@@ -292,3 +293,55 @@ def test_full_steps_are_lucas_steps_at_fibonacci():
 def test_proof_step_unknown_name():
     with pytest.raises(ValueError):
         proof_step("no-such-step", 1, 0.3 + 0.7j)
+
+
+# Forced zeros and real lines.  For b = -1 the sign rule pairs the terms at
+# j and 1 - j: at z = i their denominators differ by the factor
+# (-1)**j * (+-i), so term(1 - j) = (-1)**k term(j) at weight 2k and f(i) = 0
+# for odd k.  Real coefficients give f(-i) = conj f(i) = 0, and the shift
+# L(j)(a + z) + L(j-1) = L(j+1) + L(j) z gives f(a + i) = i**(-2k) f(-i).
+# On Re z = a/2 the mirror law reads f(conj z) = f(z), so f is real there.
+ZERO_SEQS = [
+    FIBONACCI,
+    LUCAS_NUMBERS,
+    SequenceSpec(3, -1),
+    SequenceSpec(2, -1),
+    SequenceSpec(-1, -1),
+    SequenceSpec(-2, -1, Kind.SECOND),
+    SequenceSpec(4, -1, Kind.SECOND),
+]
+
+
+def _error_bound(seq, weight, z, res):
+    """tail_bound + u (m (kappa + 6) + 7) sum|t|: the omitted terms plus the
+    rounding of every kept term and of the compensated sum, with the term
+    modulus summed here over the result's window."""
+    mass = sum(
+        abs((float(seq_value(seq, j)) * z + float(seq_value(seq, j - 1))) ** -weight)
+        for j in range(res.j_min, res.j_max + 1)
+    )
+    kappa = 1.0 + 3.0 * abs(z) / pole_distance(seq, z)
+    return res.tail_bound + 2.0**-53 * (weight * (kappa + 6.0) + 7.0) * mass
+
+
+@pytest.mark.parametrize("seq", ZERO_SEQS)
+def test_forced_zeros_at_i_and_its_images(seq):
+    for k in range(1, 16, 2):
+        spec = SeriesSpec(seq, 2 * k)
+        for z in (1j, -1j, seq.a + 1j, seq.a - 1j):
+            res = evaluate(spec, z, 1e-12)
+            assert abs(res.value) <= _error_bound(seq, 2 * k, z, res), (seq, k, z, res.value)
+    # At even k the paired terms add, so the zero is not there.
+    for k in range(2, 16, 2):
+        res = evaluate(SeriesSpec(seq, 2 * k), 1j, 1e-12)
+        assert abs(res.value) > _error_bound(seq, 2 * k, 1j, res), (seq, k)
+
+
+@pytest.mark.parametrize("seq", ZERO_SEQS)
+def test_real_on_the_mirror_line(seq):
+    rng = random.Random(seq.a * 10 + len(seq.kind.value))
+    for k in range(1, 16):
+        for _ in range(3):
+            z = complex(seq.a / 2, rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0))
+            res = evaluate(SeriesSpec(seq, 2 * k), z, 1e-12)
+            assert abs(res.value.imag) <= _error_bound(seq, 2 * k, z, res), (seq, k, z, res.value)
