@@ -10,7 +10,8 @@ range), 64 usage (a bad option value, or any other package error), 74
 output I/O failure.  Every error writes a one-line message to stderr,
 after the usage text when an option is malformed.
 `matrix --fib-power N` takes 1 <= N <= 20576: larger powers have entries
-too long to print; `poles` exits 64 where a pole's entries are.
+too long to print; `poles` exits 64 where a pole's entries are too long to
+print (fib from `--nmax 20578` on).
 """
 
 from __future__ import annotations

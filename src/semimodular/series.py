@@ -111,19 +111,9 @@ class PoleMap:
     accumulation_points: tuple[float, ...]
 
 
-def _coeffs(spec: SeriesSpec, j: int) -> tuple[int | Fraction, int | Fraction]:
-    """Exact (c1, c0) with the index-j term denominator c1*z + c0."""
-    if spec.variant is Variant.STANDARD:
-        return seq_value(spec.seq, j), seq_value(spec.seq, j - 1)
-    return -seq_value(spec.seq, j - 1), seq_value(spec.seq, j)
-
-
-def _magnitude_bits(x: int | Fraction) -> int:
-    return x.numerator.bit_length() - x.denominator.bit_length()
-
-
-def _coeffs_float(spec: SeriesSpec, j: int) -> tuple[float, float] | None:
-    """Double-rounded (c1, c0), or None once either value outgrows doubles.
+def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[float, float] | None:
+    """Double-rounded (c1, c0) of the index-j term denominator c1*z + c0, or
+    None once either value outgrows doubles.
 
     A coefficient of magnitude beyond 2**_HUGE_BITS forces the term
     denominator past 2**_HUGE_BITS times the guard radius, so the term
@@ -131,44 +121,49 @@ def _coeffs_float(spec: SeriesSpec, j: int) -> tuple[float, float] | None:
     not numerator width: b != -1 sequences have negative-index values like
     -(2**n - 1)/2**n whose numerators grow while the value stays O(1).)
     """
-    c1, c0 = _coeffs(spec, j)
-    if max(_magnitude_bits(c1), _magnitude_bits(c0)) > _HUGE_BITS:
+    if variant is Variant.STANDARD:
+        c1, c0 = seq_value(seq, j), seq_value(seq, j - 1)
+    else:
+        c1, c0 = -seq_value(seq, j - 1), seq_value(seq, j)
+    if (c1.numerator.bit_length() - c1.denominator.bit_length() > _HUGE_BITS
+            or c0.numerator.bit_length() - c0.denominator.bit_length() > _HUGE_BITS):
         return None
     return float(c1), float(c0)
 
 
 class _Kernel:
-    """Per-spec evaluation state: coefficient rows and tail parameters.
-
-    `neg[k]` holds the double-rounded coefficients of index -k and `pos[k]`
-    those of index k; both rows always have the same length.
+    """Evaluation state of one (sequence, variant), shared by its weights:
+    rows `neg[k]` and `pos[k]` of the double-rounded coefficients of indices
+    -k and k (equal lengths, only ever grown; each sum slices its own
+    window), and the certified tail parameters per (edge, weight).
     """
 
-    __slots__ = ("spec", "certified", "neg", "pos", "tails")
+    __slots__ = ("seq", "variant", "certified", "neg", "pos", "tails")
 
-    def __init__(self, spec: SeriesSpec) -> None:
-        self.spec = spec
-        self.certified = is_certified_spec(spec.seq)
+    def __init__(self, seq: SequenceSpec, variant: Variant) -> None:
+        self.seq = seq
+        self.variant = variant
+        self.certified = is_certified_spec(seq)
         self.neg: list[tuple[float, float] | None] = []
         self.pos: list[tuple[float, float] | None] = []
-        # edge -> (neg side, pos side) parameters of `_tail_params`
-        self.tails: dict[int, tuple[tuple, tuple]] = {}
+        # (edge, weight) -> (neg side, pos side) parameters of `_tail_params`
+        self.tails: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
     def rows_upto(self, n: int) -> tuple[list, list]:
         """Coefficient rows covering every |j| < n."""
-        neg, pos = self.neg, self.pos
+        seq, variant, neg, pos = self.seq, self.variant, self.neg, self.pos
         while len(neg) < n:
             k = len(neg)
             # Both entries first, so a raise cannot leave the rows uneven.
-            below, above = _coeffs_float(self.spec, -k), _coeffs_float(self.spec, k)
+            below, above = _coeffs_float(seq, variant, -k), _coeffs_float(seq, variant, k)
             neg.append(below)
             pos.append(above)
         return neg, pos
 
-    def tail_params(self, edge: int) -> tuple[tuple, tuple]:
-        params = self.tails.get(edge)
+    def tail_params(self, edge: int, m: int) -> tuple[tuple, tuple]:
+        params = self.tails.get((edge, m))
         if params is None:
-            params = self.tails[edge] = _tail_params(self.spec, edge)
+            params = self.tails[edge, m] = _tail_params(self.seq, self.variant, m, edge)
         return params
 
 
@@ -314,23 +309,22 @@ def _widened(lo: Fraction, hi: Fraction) -> tuple[float, float]:
     return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
 
 
-def _tail_params(spec: SeriesSpec, edge: int) -> tuple[tuple, tuple]:
+def _tail_params(seq: SequenceSpec, variant: Variant, m: int, edge: int) -> tuple[tuple, tuple]:
     """z-independent pieces of the certified (neg, pos) side tails at a
     window edge: widened cluster endpoints, log of the (integer) scale
     value, and log1p(-g**-m) for the growth ratio g.
 
     The ratio interval is taken at edge-1 so it also covers the swapped
-    variant, whose coefficient indices trail by one.  Only certified specs
-    (b = -1, a != 0) come here, and edge - 1 >= 8, so both bracketing
-    ratios are nonzero with the sign of a and g = |a| + min|I| > 1.
+    variant, whose coefficient indices trail by one.  Only certified
+    sequences (b = -1, a != 0) come here, and edge - 1 >= 8, so both
+    bracketing ratios are nonzero with the sign of a and g = |a| + min|I| > 1.
     """
-    seq = spec.seq
     info = growth_info(seq, edge - 1)
     lo, hi = info.ratio_lo, info.ratio_hi
     g = float(abs(seq.a) + min(abs(lo), abs(hi)))
-    log_geometric = math.log1p(-(g**-spec.weight))
+    log_geometric = math.log1p(-(g**-m))
 
-    if spec.variant is Variant.STANDARD:
+    if variant is Variant.STANDARD:
         sides = (((seq.a + lo, seq.a + hi), edge), ((-hi, -lo), edge))
     else:
         sides = (((-hi, -lo), edge + 1), ((1 / hi, 1 / lo), edge - 1))
@@ -375,12 +369,11 @@ def _heuristic_side_tail(row: tuple, z: complex, m: int, edge: int, sign: int) -
     return mags[0] / (1.0 - q)
 
 
-def _plan_window(kern: _Kernel, z: complex, tol: float) -> tuple[int, float, float]:
-    m = kern.spec.weight
+def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, float, float]:
     J = START_WINDOW
     while True:
         if kern.certified:
-            neg_params, pos_params = kern.tail_params(J + 1)
+            neg_params, pos_params = kern.tail_params(J + 1, m)
             neg = _certified_side_tail(neg_params, z, m)
             # Below the cap a failed negative side doubles J whatever the
             # positive side says; the cap message reads both.
@@ -423,11 +416,11 @@ def _evaluate(spec: SeriesSpec, z: complex, tol: float, guard_eps: float) -> tup
         raise ValueError(f"z must be finite, got {z}")
     if not (guard_eps >= 0):
         raise ValueError(f"guard_eps must be >= 0, got {guard_eps}")
-    kern = _kernel(spec)
+    kern = _kernel(spec.seq, spec.variant)
     d = pole_distance(spec.seq, z)
     if d < guard_eps:
         raise PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {guard_eps:.1e})")
-    J, neg_tail, pos_tail = _plan_window(kern, z, tol)
+    J, neg_tail, pos_tail = _plan_window(kern, z, spec.weight, tol)
     neg, pos = kern.rows_upto(J + 1)
     minus = _half_sum(neg[J::-1], z, -spec.weight, -J, 1)
     plus = _half_sum(pos[J:0:-1], z, -spec.weight, J, -1)

@@ -216,7 +216,7 @@ def _value_rounding(point: complex, distance: float, value: complex, weight: int
     guarded pole, and |r| <= |point| + |point + r|, so
     kappa = (2|point| + |r|)/|point + r| <= 1 + 3|point|/distance.  The term
     is first-order and takes |value| as the term mass, so cancellation
-    between terms is not covered; ROADMAP item 3 certifies it later.
+    between terms is not covered; ROADMAP item 4 certifies it later.
     """
     kappa = 1.0 + 3.0 * abs(point) / distance
     return UNIT_ROUNDOFF * (weight * (kappa + 6.0) + 4.0) * abs(value) + 3.0 * UNIT_ROUNDOFF * abs(value)

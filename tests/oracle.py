@@ -1,23 +1,51 @@
 """Brute-force mpmath sums of the series terms, the reference the tests compare against.
 
 This is the only module that imports mpmath; the package itself uses the
-standard library only.  Precision follows the term mass: a sum is redone
-with more digits until they resolve ACCURACY under the sum of the term
-moduli, so a small tail under a large value is not lost to cancellation.
+standard library only.  The exact term coefficients (`coeffs`) come from
+this module's own recursion, not from the package's sequence values, so a
+sign or variant slip in the package cannot also be in its reference.
+Precision follows the term mass: a sum is redone with more digits until
+they resolve ACCURACY under the sum of the term moduli, so a small tail
+under a large value is not lost to cancellation.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 
-from semimodular import PoleProximity, SeriesSpec
-from semimodular.series import _coeffs
+from semimodular import Kind, PoleProximity, SequenceSpec, SeriesSpec, Variant
 
 ORACLE_CAP = 500
 # Absolute accuracy every sum resolves, with 15 digits to spare.
 ACCURACY = 1e-20
+
+
+# seq -> (L(0), L(1), ...), (L(0), L(-1), L(-2), ...)
+_VALUES: dict[SequenceSpec, tuple[list[Fraction], list[Fraction]]] = {}
+
+
+def _value(seq: SequenceSpec, n: int) -> Fraction:
+    """Exact L(n) by the recursion alone: forward for n >= 0, and backward
+    for n < 0 through L(n-2) = (a*L(n-1) - L(n))/b."""
+    if seq not in _VALUES:
+        first = [Fraction(0), Fraction(1)] if seq.kind is Kind.FIRST else [Fraction(2), Fraction(seq.a)]
+        _VALUES[seq] = (first, [first[0], (seq.a * first[0] - first[1]) / seq.b])
+    up, down = _VALUES[seq]
+    while len(up) <= n:
+        up.append(seq.a * up[-1] - seq.b * up[-2])
+    while len(down) <= -n:
+        down.append((seq.a * down[-1] - down[-2]) / seq.b)
+    return up[n] if n >= 0 else down[-n]
+
+
+def coeffs(spec: SeriesSpec, j: int) -> tuple[Fraction, Fraction]:
+    """Exact (c1, c0) with the index-j term denominator c1*z + c0."""
+    if spec.variant is Variant.FOOTNOTE:
+        return -_value(spec.seq, j - 1), _value(spec.seq, j)
+    return _value(spec.seq, j), _value(spec.seq, j - 1)
 
 
 def _mpf(x):
@@ -33,7 +61,7 @@ def _oracle_mp(spec: SeriesSpec, z: complex, indices) -> mpmath.mpc:
             total = mpmath.mpc(0)
             mass = 0.0
             for j in indices:
-                c1, c0 = _coeffs(spec, j)
+                c1, c0 = coeffs(spec, j)
                 den = _mpf(c1) * zz + _mpf(c0)
                 if den == 0:
                     raise PoleProximity(f"term {j} denominator vanishes exactly at z = {z}")

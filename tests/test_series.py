@@ -23,8 +23,7 @@ from semimodular import (
     seq_value,
 )
 from semimodular import series
-from semimodular.series import _coeffs
-from oracle import brute_force_oracle, omitted
+from oracle import brute_force_oracle, coeffs, omitted
 
 Z0 = 0.3 + 0.7j
 F4 = SeriesSpec(FIBONACCI, 4)
@@ -286,7 +285,7 @@ def test_pole_exactness(seq):
     spec = SeriesSpec(seq, 4)
     for p in pm.poles:
         assert any(
-            _coeffs(spec, j)[0] * p + _coeffs(spec, j)[1] == 0
+            coeffs(spec, j)[0] * p + coeffs(spec, j)[1] == 0
             for j in range(-25, 26)
         ), p
 
@@ -318,12 +317,11 @@ def test_tail_bound_monotone_soundness_example():
     assert omitted(F4, Z0, res.j_max, 20) <= res.tail_bound
 
 
-def _plan_window_both_sides(kern, z, tol):
+def _plan_window_both_sides(kern, z, m, tol):
     """The window planner evaluating both certified side tails at every step."""
-    m = kern.spec.weight
     J = series.START_WINDOW
     while True:
-        neg_params, pos_params = kern.tail_params(J + 1)
+        neg_params, pos_params = kern.tail_params(J + 1, m)
         neg = series._certified_side_tail(neg_params, z, m)
         pos = series._certified_side_tail(pos_params, z, m)
         if neg <= tol / 2 and pos <= tol / 2:
@@ -360,14 +358,66 @@ def test_planner_matches_both_sides_reference():
         cases.append((spec, z, 10 ** rng.uniform(-13, -6)))
     capped = 0
     for spec, z, tol in cases:
-        kern = series._kernel(spec)
+        kern = series._kernel(spec.seq, spec.variant)
         try:
-            want = _plan_window_both_sides(kern, z, tol)
+            want = _plan_window_both_sides(kern, z, spec.weight, tol)
         except ToleranceUnreachable as exc:
             with pytest.raises(ToleranceUnreachable) as got:
-                series._plan_window(kern, z, tol)
+                series._plan_window(kern, z, spec.weight, tol)
             assert str(got.value) == str(exc)
             capped += 1
             continue
-        assert series._plan_window(kern, z, tol) == want, (spec, z, tol)
+        assert series._plan_window(kern, z, spec.weight, tol) == want, (spec, z, tol)
     assert capped >= 2
+
+
+def test_one_kernel_per_sequence_and_variant():
+    # The coefficient rows depend on the sequence and the variant only, so
+    # weights 2-12 share one kernel; the footnote variant has its own.
+    for pairs in ([(SequenceSpec(4, -1, Kind.SECOND), Variant.STANDARD)],
+                  [(FIBONACCI, Variant.STANDARD), (FIBONACCI, Variant.FOOTNOTE)]):
+        series._kernel.cache_clear()
+        for seq, variant in pairs:
+            for w in range(2, 13):
+                evaluate(SeriesSpec(seq, w, variant), Z0, 1e-12)
+        assert series._kernel.cache_info().currsize == len(pairs), pairs
+
+
+def test_shared_kernel_results_do_not_depend_on_call_order():
+    # Weights of one (sequence, variant) extend the same rows and tail table:
+    # a wide window built for one call (tol 1e-13 next to an accumulation
+    # point) must not move the bits of a narrow call made before or after.
+    phi = (1 + 5**0.5) / 2
+    calls = [
+        (evaluate, 2, complex(phi, 2e-6), 1e-13, series.GUARD_EPS),
+        (evaluate_halves, 12, Z0, 1e-6, series.GUARD_EPS),
+        (evaluate, 4, complex(-1 / phi, -3e-6), 1e-13, 0.0),
+        (evaluate_halves, 4, Z0, 1e-10, series.GUARD_EPS),
+        (evaluate, 3, complex(-1.3, 0.0), 1e-8, series.GUARD_EPS),
+        (evaluate_halves, 6, complex(phi, 2e-6), 1e-12, series.GUARD_EPS),
+        (evaluate, 7, 1e77 + 1e77j, 1e-10, series.GUARD_EPS),
+        (evaluate, 4, 1.0 + 0j, 1e-10, 0.0),
+    ]
+
+    def run(seq, variant, order):
+        out = {}
+        for i in order:
+            fn, w, z, tol, guard = calls[i]
+            try:
+                out[i] = repr(fn(SeriesSpec(seq, w, variant), z, tol, guard_eps=guard))
+            except (PoleProximity, ToleranceUnreachable) as exc:
+                out[i] = repr(exc)
+        return out
+
+    forward = list(range(len(calls)))
+    for seq, variant in [
+        (FIBONACCI, Variant.STANDARD),
+        (FIBONACCI, Variant.FOOTNOTE),
+        (SequenceSpec(3, 1), Variant.STANDARD),
+        (SequenceSpec(5, 2), Variant.STANDARD),
+    ]:
+        seen = []
+        for order in (forward, forward[::-1]):
+            series._kernel.cache_clear()
+            seen += [run(seq, variant, order), run(seq, variant, order)]
+        assert all(out == seen[0] for out in seen[1:]), (seq, variant)
