@@ -17,7 +17,6 @@ print (fib from `--nmax 20578` on).
 from __future__ import annotations
 
 import argparse
-import colorsys
 import functools
 import json
 import math
@@ -285,9 +284,26 @@ def _pixel_color(value: complex) -> tuple[int, int, int]:
     hue = (math.atan2(value.imag, value.real) + math.pi) / (2.0 * math.pi)
     if hue >= 1.0:
         hue -= 1.0
-    brightness = 1.0 - 1.0 / (1.0 + math.log1p(abs(value)))
-    r, g, b = colorsys.hsv_to_rgb(hue, 1.0, brightness)
-    return (int(r * 255 + 0.5), int(g * 255 + 0.5), int(b * 255 + 0.5))
+    v = 1.0 - 1.0 / (1.0 + math.log1p(abs(value)))
+    # colorsys.hsv_to_rgb(hue, 1.0, v) written out term for term at s = 1,
+    # which saves about a third of this function's time: p = v*0.0 is 0,
+    # q = v*(1.0 - f), t = v*(1.0 - (1.0 - f)).  t keeps colorsys's form,
+    # because the shorter v*f can differ in the last bit and move a byte.
+    # 0 <= hue < 1, so i is colorsys's i % 6.
+    h = hue * 6.0
+    i = int(h)
+    f = h - i
+    if i == 0:
+        return int(v * 255 + 0.5), int(v * (1.0 - (1.0 - f)) * 255 + 0.5), 0
+    if i == 1:
+        return int(v * (1.0 - f) * 255 + 0.5), int(v * 255 + 0.5), 0
+    if i == 2:
+        return 0, int(v * 255 + 0.5), int(v * (1.0 - (1.0 - f)) * 255 + 0.5)
+    if i == 3:
+        return 0, int(v * (1.0 - f) * 255 + 0.5), int(v * 255 + 0.5)
+    if i == 4:
+        return int(v * (1.0 - (1.0 - f)) * 255 + 0.5), 0, int(v * 255 + 0.5)
+    return int(v * 255 + 0.5), 0, int(v * (1.0 - f) * 255 + 0.5)
 
 
 def render_grid(

@@ -47,8 +47,10 @@ import cmath
 import enum
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PoleProximity, ToleranceUnreachable
 from .lucas import (
@@ -94,8 +96,7 @@ class SeriesSpec:
             raise ValueError("the swapped-coefficient variant is defined for the Fibonacci numbers only")
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Windowed value plus a bound on the total modulus of omitted terms."""
 
     value: complex
@@ -111,9 +112,10 @@ class PoleMap:
     accumulation_points: tuple[float, ...]
 
 
-def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[float, float] | None:
-    """Double-rounded (c1, c0) of the index-j term denominator c1*z + c0, or
-    None once either value outgrows doubles.
+def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[complex, complex] | None:
+    """Double-rounded (c1, c0) of the index-j term denominator c1*z + c0, as
+    complex numbers with zero imaginary parts, or None once either value
+    outgrows doubles.
 
     A coefficient of magnitude beyond 2**_HUGE_BITS forces the term
     denominator past 2**_HUGE_BITS times the guard radius, so the term
@@ -128,26 +130,35 @@ def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[float, f
     if (c1.numerator.bit_length() - c1.denominator.bit_length() > _HUGE_BITS
             or c0.numerator.bit_length() - c0.denominator.bit_length() > _HUGE_BITS):
         return None
-    return float(c1), float(c0)
+    return complex(c1), complex(c0)
 
 
 class _Kernel:
-    """Evaluation state of one (sequence, variant), shared by its weights:
-    rows `neg[k]` and `pos[k]` of the double-rounded coefficients of indices
-    -k and k (equal lengths, only ever grown; each sum slices its own
-    window), and the certified tail parameters per (edge, weight).
+    """Evaluation state of one (sequence, variant), shared by its weights.
+
+    - `neg[k]` and `pos[k]`: the `_coeffs_float` rows of indices -k and k
+      (equal lengths, only ever grown; each sum slices its own window).
+      The rows are complex because CPython (3.10-3.13) turns a float
+      operand of complex `*` and `+` into complex(x, 0.0) first: storing
+      that conversion gives `c1*z + c0` the same bits, once per row instead
+      of twice per term.
+    - `ladders[m]`: weight m's window ladder, the rungs
+      (J, neg params, pos params) for J = START_WINDOW, 2*START_WINDOW, ...,
+      MAX_WINDOW, with the certified `_tail_params` at edge J + 1; grown one
+      rung at a time by `climb`, as far as some window has needed.
+    - `guard`: the sequence's `_guard_points`.
     """
 
-    __slots__ = ("seq", "variant", "certified", "neg", "pos", "tails")
+    __slots__ = ("seq", "variant", "certified", "neg", "pos", "ladders", "guard")
 
     def __init__(self, seq: SequenceSpec, variant: Variant) -> None:
         self.seq = seq
         self.variant = variant
         self.certified = is_certified_spec(seq)
-        self.neg: list[tuple[float, float] | None] = []
-        self.pos: list[tuple[float, float] | None] = []
-        # (edge, weight) -> (neg side, pos side) parameters of `_tail_params`
-        self.tails: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        self.neg: list[tuple[complex, complex] | None] = []
+        self.pos: list[tuple[complex, complex] | None] = []
+        self.ladders: defaultdict[int, list[tuple[int, tuple, tuple]]] = defaultdict(list)
+        self.guard = _guard_points(seq)
 
     def rows_upto(self, n: int) -> tuple[list, list]:
         """Coefficient rows covering every |j| < n."""
@@ -160,11 +171,12 @@ class _Kernel:
             pos.append(above)
         return neg, pos
 
-    def tail_params(self, edge: int, m: int) -> tuple[tuple, tuple]:
-        params = self.tails.get((edge, m))
-        if params is None:
-            params = self.tails[edge, m] = _tail_params(self.seq, self.variant, m, edge)
-        return params
+    def climb(self, m: int) -> tuple[int, tuple, tuple]:
+        """Append the next rung to weight m's ladder and return it."""
+        ladder = self.ladders[m]
+        J = min(2 * ladder[-1][0], MAX_WINDOW) if ladder else START_WINDOW
+        ladder.append((J, *_tail_params(self.seq, self.variant, m, J + 1)))
+        return ladder[-1]
 
 
 _kernel = functools.lru_cache(maxsize=None)(_Kernel)
@@ -185,27 +197,22 @@ def _power_error(pairs, z: complex, j0: int, step: int) -> Exception:
 
 
 def _half_sum(pairs, z: complex, e: int, j0: int, step: int) -> complex:
-    """Compensated sum of (c1*z + c0) ** e over `pairs`, in order, where
-    pairs[k] belongs to index j0 + step*k.
+    """Compensated (Kahan) sum of (c1*z + c0) ** e over the complex rows
+    `pairs`, in order, where pairs[k] belongs to index j0 + step*k.
 
-    The term order is part of the contract.  A None pair is an exact zero
-    term; it stays in the loop because it still moves the compensation.
-    A power can overflow without raising (giving nan), so a total that is
-    not finite fails like a raised overflow; a failed sum goes on to
-    `_resum_inverted`.
+    The term order and each operation of the loop are part of the contract.
+    A None pair is an exact zero term; it stays in the loop because it
+    still moves the compensation.  A power can overflow without raising
+    (giving nan), so a total that is not finite fails like a raised
+    overflow; a failed sum goes on to `_resum_inverted`.
     """
     total = comp = 0j
     try:
         for pair in pairs:
-            if pair is None:
-                t = 0j
-            else:
-                c1, c0 = pair
-                t = (c1 * z + c0) ** e
-            y = t - comp
-            tentative = total + y
-            comp = (tentative - total) - y
-            total = tentative
+            y = (0j if pair is None else (pair[0] * z + pair[1]) ** e) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
         if math.isfinite(total.real) and math.isfinite(total.imag):
             return total
     except (ZeroDivisionError, OverflowError):
@@ -230,7 +237,7 @@ def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
     # The row (0, 1/den) at z = 0 gives the base 1/den itself (a zero part
     # may change sign).
     dens = (None if p is None else p[0] * z + p[1] for p in pairs)
-    inverted = [(0.0, 1 / d) if d is not None and cmath.isfinite(d) else None for d in dens]
+    inverted = [(0j, 1 / d) if d is not None and cmath.isfinite(d) else None for d in dens]
     return _half_sum(inverted, 0j, -e, j0, step)
 
 
@@ -275,15 +282,22 @@ def _guard_points(seq: SequenceSpec) -> tuple[float, ...]:
 
 
 def pole_distance(seq: SequenceSpec, z: complex) -> float:
-    """Distance from z to the guarded pole set plus accumulation points.
+    """Distance from z to the guarded pole set plus accumulation points."""
+    return _distance(_guard_points(seq), z)
 
-    The points are real, so the nearest one neighbours Re(z) in sort order.
-    A finite z whose distance passes double range is infinitely far.
+
+def _distance(points: tuple[float, ...], z: complex) -> float:
+    """Distance from z to the nearest of the sorted real `points`.
+
+    The nearest one neighbours Re(z) in sort order.  A finite z whose
+    distance passes double range is infinitely far.
     """
-    points = _guard_points(seq)
     i = bisect.bisect_left(points, z.real)
     try:
-        return min(abs(z - p) for p in points[max(i - 1, 0):i + 1])
+        if 0 < i < len(points):
+            below, above = abs(z - points[i - 1]), abs(z - points[i])
+            return below if below <= above else above
+        return abs(z - points[i - 1 if i else 0])
     except OverflowError:
         return math.inf
 
@@ -369,29 +383,39 @@ def _heuristic_side_tail(row: tuple, z: complex, m: int, edge: int, sign: int) -
     return mags[0] / (1.0 - q)
 
 
+def _window_cap(neg: float, pos: float, tol: float) -> ToleranceUnreachable:
+    return ToleranceUnreachable(f"window cap {MAX_WINDOW} hit with side tails ({neg:.3e}, {pos:.3e}) > {tol:.1e}/2")
+
+
 def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, float, float]:
+    """The first window J of the ladder whose side tails both meet tol / 2,
+    as (J, neg tail, pos tail)."""
+    half = tol / 2
+    if kern.certified:
+        ladder = kern.ladders[m]
+        i = 0
+        while True:
+            J, neg_params, pos_params = ladder[i] if i < len(ladder) else kern.climb(m)
+            neg = _certified_side_tail(neg_params, z, m)
+            # Below the cap a failed negative side moves up a rung whatever
+            # the positive side says; the cap message reads both.
+            if neg <= half or J >= MAX_WINDOW:
+                pos = _certified_side_tail(pos_params, z, m)
+                if neg <= half and pos <= half:
+                    return J, neg, pos
+                if J >= MAX_WINDOW:
+                    raise _window_cap(neg, pos, tol)
+            i += 1
     J = START_WINDOW
     while True:
-        if kern.certified:
-            neg_params, pos_params = kern.tail_params(J + 1, m)
-            neg = _certified_side_tail(neg_params, z, m)
-            # Below the cap a failed negative side doubles J whatever the
-            # positive side says; the cap message reads both.
-            if neg <= tol / 2 or J >= MAX_WINDOW:
-                pos = _certified_side_tail(pos_params, z, m)
-            else:
-                pos = math.inf
-        else:
-            neg_row, pos_row = kern.rows_upto(J + 4)
-            neg = _heuristic_side_tail(neg_row, z, m, J + 1, -1)
-            pos = _heuristic_side_tail(pos_row, z, m, J + 1, 1)
-        if neg <= tol / 2 and pos <= tol / 2:
+        neg_row, pos_row = kern.rows_upto(J + 4)
+        neg = _heuristic_side_tail(neg_row, z, m, J + 1, -1)
+        pos = _heuristic_side_tail(pos_row, z, m, J + 1, 1)
+        if neg <= half and pos <= half:
             return J, neg, pos
         if J >= MAX_WINDOW:
-            raise ToleranceUnreachable(
-                f"window cap {MAX_WINDOW} hit with side tails ({neg:.3e}, {pos:.3e}) > {tol:.1e}/2"
-            )
-        if not kern.certified and J >= 256 and math.isinf(neg + pos):
+            raise _window_cap(neg, pos, tol)
+        if J >= 256 and math.isinf(neg + pos):
             # Divergent exploration series: terms are not shrinking.
             raise ToleranceUnreachable("omitted terms are not decaying; series looks divergent here")
         J = min(J * 2, MAX_WINDOW)
@@ -417,7 +441,7 @@ def _evaluate(spec: SeriesSpec, z: complex, tol: float, guard_eps: float) -> tup
     if not (guard_eps >= 0):
         raise ValueError(f"guard_eps must be >= 0, got {guard_eps}")
     kern = _kernel(spec.seq, spec.variant)
-    d = pole_distance(spec.seq, z)
+    d = _distance(kern.guard, z)
     if d < guard_eps:
         raise PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {guard_eps:.1e})")
     J, neg_tail, pos_tail = _plan_window(kern, z, spec.weight, tol)

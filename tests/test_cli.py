@@ -1,11 +1,13 @@
 """CLI records, exit codes, grammar, and byte determinism."""
 
+import colorsys
 import contextlib
 import io
 import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -336,6 +338,26 @@ def test_grid_single_pixel_matches_eval(tmp_path, capsys):
     z = complex(0.3, 0.7)
     value = evaluate(SeriesSpec(FIBONACCI, 4), z, 1e-8).value
     assert pixel == bytes(_pixel_color(value))
+
+
+def _colorsys_pixel(value):
+    """The pixel colour through colorsys.hsv_to_rgb, which `_pixel_color` spells out."""
+    hue = (math.atan2(value.imag, value.real) + math.pi) / (2.0 * math.pi)
+    if hue >= 1.0:
+        hue -= 1.0
+    brightness = 1.0 - 1.0 / (1.0 + math.log1p(abs(value)))
+    r, g, b = colorsys.hsv_to_rgb(hue, 1.0, brightness)
+    return (int(r * 255 + 0.5), int(g * 255 + 0.5), int(b * 255 + 0.5))
+
+
+def test_pixel_color_is_colorsys_term_for_term():
+    rng = random.Random(20)
+    values = [0j, complex(-0.0, 0.0), complex(-1.0, 0.0), complex(-1.0, -0.0), 1 + 0j, 1j, -1j]
+    for _ in range(20_000):
+        scale = 10 ** rng.uniform(-12, 300)
+        values.append(complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale))
+    for value in values:
+        assert _pixel_color(value) == _colorsys_pixel(value), value
 
 
 def test_grid_huge_window_renders_black(tmp_path, capsys):

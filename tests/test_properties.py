@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semimodular import (
     FIBONACCI,
@@ -134,6 +134,13 @@ KERNEL_SPECS = [
     im=st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2, allow_nan=False)),
     tol=st.sampled_from([1e-13, 1e-10, 1e-6]),
 )
+# The Fibonacci guard points lie in [-1, 2], with 0 next to -1/2 and to 1;
+# those of lucas-first:3:1 in [0, 3].
+@example(spec=SeriesSpec(FIBONACCI, 4), re=-3.0, im=0.5, tol=1e-10)  # left of every point
+@example(spec=SeriesSpec(SequenceSpec(3, 1), 4), re=3.5, im=-0.25, tol=1e-10)  # right of every point
+@example(spec=SeriesSpec(FIBONACCI, 3), re=1.0, im=0.0, tol=1e-10)  # on a pole
+@example(spec=SeriesSpec(FIBONACCI, 2), re=0.5, im=0.25, tol=1e-13)  # equidistant from 0 and 1
+@example(spec=SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE), re=-0.25, im=0.0, tol=1e-6)  # from -1/2 and 0
 def test_kernel_matches_scalar_reference(spec, re, im, tol):
     # The evaluation kernel must reproduce the scalar term-by-term path bit
     # for bit, and the bisect guard the brute-force distance over all points.

@@ -1,6 +1,7 @@
 """Series evaluation, tail certificates, pole maps, and the brute-force oracle."""
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from semimodular import (
     seq_value,
 )
 from semimodular import series
+from semimodular.cli import render_grid
 from oracle import brute_force_oracle, coeffs, omitted
 
 Z0 = 0.3 + 0.7j
@@ -321,7 +323,7 @@ def _plan_window_both_sides(kern, z, m, tol):
     """The window planner evaluating both certified side tails at every step."""
     J = series.START_WINDOW
     while True:
-        neg_params, pos_params = kern.tail_params(J + 1, m)
+        neg_params, pos_params = series._tail_params(kern.seq, kern.variant, m, J + 1)
         neg = series._certified_side_tail(neg_params, z, m)
         pos = series._certified_side_tail(pos_params, z, m)
         if neg <= tol / 2 and pos <= tol / 2:
@@ -421,3 +423,58 @@ def test_shared_kernel_results_do_not_depend_on_call_order():
             series._kernel.cache_clear()
             seen += [run(seq, variant, order), run(seq, variant, order)]
         assert all(out == seen[0] for out in seen[1:]), (seq, variant)
+
+
+STANDARD, FOOTNOTE, GUARD = Variant.STANDARD, Variant.FOOTNOTE, series.GUARD_EPS
+PHI = (1 + 5**0.5) / 2
+# (function, sequence, weight, variant, z, tol, guard_eps) and, per result,
+# float.hex of (value.real, value.imag, tail_bound) with (j_min, j_max).
+PINNED_BITS = [
+    # standard, certified
+    ((evaluate, FIBONACCI, 4, STANDARD, 0.3 + 0.7j, 1e-10, GUARD),
+     [("-0x1.52dc82fa83178p-2", "0x1.6e7921a23a125p+1", "0x1.35e42ea4cd2bap-43", -16, 16)]),
+    # footnote
+    ((evaluate, FIBONACCI, 4, FOOTNOTE, 0.3 + 0.7j, 1e-12, GUARD),
+     [("-0x1.52dc82fa83125p-2", "0x1.6e7921a239f05p+1", "0x1.28ac0797fcbbcp-42", -16, 16)]),
+    ((evaluate_halves, LUCAS_NUMBERS, 6, STANDARD, -1.3 + 0.2j, 1e-13, GUARD),
+     [("0x1.081c4d8161c74p-11", "0x1.4d7834c8a3e3bp-12", "0x1.f8e089f03204ep-81", -16, 0), ("-0x1.553682d88baa3p-1", "-0x1.ab59b63d7ef42p+2", "0x1.2b7b3769fd76bp-68", 1, 16)]),
+    ((evaluate, SequenceSpec(-3, -1, Kind.SECOND), 3, STANDARD, 0.4 - 1.1j, 1e-8, GUARD),
+     [("-0x1.0fc035695db49p-6", "0x1.fb9a454130710p-6", "0x1.135fc0e0db1dbp-47", -8, 8)]),
+    # b = +1, heuristic tails
+    ((evaluate, SequenceSpec(3, 1), 4, STANDARD, 0.3 + 0.7j, 1e-10, GUARD),
+     [("0x1.b08d2b78869e4p-1", "0x1.7bb23b6ca040ep+1", "0x1.c9b1941a3a650p-46", -8, 8)]),
+    ((evaluate_halves, SequenceSpec(-4, 1, Kind.SECOND), 7, STANDARD, 1.2 - 0.5j, 1e-10, GUARD),
+     [("0x1.14b72f512a76dp-7", "-0x1.0b93e2f0f8d31p-7", "0x1.a7ad484f9ec5ep-130", -8, 0), ("0x1.09fae979777fap-14", "0x1.5641cac22261cp-13", "0x1.aa4767c03b6c3p-121", 1, 8)]),
+    # |b| > 1: Fraction values below 0
+    ((evaluate_halves, SequenceSpec(5, 2), 4, STANDARD, 0.3 + 0.7j, 1e-10, GUARD),
+     [("0x1.021e950309ceep+4", "-0x1.968eb97e07c2ap-3", "0x1.a8b313511ba7dp-41", -8, 0), ("-0x1.2d88c3cd3e7eap-3", "0x1.7c46e29b5f494p+1", "0x1.1bce713a3044bp-70", 1, 8)]),
+    ((evaluate, SequenceSpec(3, -2, Kind.SECOND), 5, STANDARD, -0.6 + 0.9j, 1e-10, GUARD),
+     [("0x1.55750eaabf416p-8", "-0x1.a0c488271d8bap-8", "0x1.d7860d364f9f3p-45", -8, 8)]),
+    # guard off, next to a pole
+    ((evaluate, FIBONACCI, 4, STANDARD, complex(1.0, 1e-9), 1e-6, 0.0),
+     [("0x1.812f9cf7920e2p+119", "0x1.1d6c7891ca5e2p-27", "0x1.62a8481234b65p-40", -16, 16)]),
+    ((evaluate_halves, FIBONACCI, 3, FOOTNOTE, complex(-0.4, -0.0), 1e-10, 0.0),
+     [("-0x1.9ea1d9e400fe4p+6", "0x0.0p+0", "0x1.91efe54fc1655p-61", -32, 0), ("0x1.75e32b1d70415p+0", "0x0.0p+0", "0x1.2315f97d7368ep-66", 1, 32)]),
+    # both halves resummed inverted
+    ((evaluate, FIBONACCI, 4, STANDARD, 1e300 + 1e300j, 1e-10, GUARD),
+     [("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", -8, 8)]),
+    ((evaluate_halves, FIBONACCI, 2, STANDARD, complex(PHI, 2e-6), 1e-13, GUARD),
+     [("0x1.312de0047aa7bp+8", "0x1.93d9b1f1b3d2dp+13", "0x1.8b96c6765e2e5p-50", -64, 0), ("0x1.3c6ef372f9aa2p-1", "-0x1.65e9f80f252d2p-20", "0x1.5bf6b748536e9p-90", 1, 64)]),
+    # J = 1024: None rows past |j| = 740, the minus half resummed inverted
+    ((evaluate_halves, FIBONACCI, 2, STANDARD, complex(PHI, 1e-150), 1e-13, 0.0),
+     [("-0x1.09fe404d9d2f7p+944", "0x1.7cbfd5136f5e8p-392", "0x1.517beb0b10e31p-424", -1024, 0), ("0x1.3c6ef372fe94fp-1", "-0x1.17544f17fb84dp-499", "0x0.0p+0", 1, 1024)]),
+    ((evaluate, FIBONACCI, 2, FOOTNOTE, complex(-1 / PHI, 1e-150), 1e-6, 0.0),
+     [("-0x1.edb81511f0a00p+944", "-0x1.70525436afcefp-390", "0x1.01d09bc541354p-425", -1024, 1024)]),
+]
+
+
+def test_kernel_bits_are_pinned():
+    # Every output bit is part of the contract (byte-identical stdout and
+    # PPM), so a faster kernel must reproduce these exactly.
+    for (fn, seq, weight, variant, z, tol, guard), want in PINNED_BITS:
+        res = fn(SeriesSpec(seq, weight, variant), z, tol, guard_eps=guard)
+        got = [(r.value.real.hex(), r.value.imag.hex(), r.tail_bound.hex(), r.j_min, r.j_max)
+               for r in (res if fn is evaluate_halves else [res])]
+        assert got == want, (fn.__name__, seq, weight, variant, z)
+    ppm = render_grid(F4, (-2.0, 2.0, -2.0, 2.0), 24, 24)
+    assert hashlib.sha256(ppm).hexdigest() == "9c8107efba5509f0c835bb516f19f9edda7572e8a711316d29f1a544ebed7b2a"
