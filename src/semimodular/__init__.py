@@ -53,7 +53,6 @@ from .series import (
 )
 from .symmetry import (
     PROOF_STEPS,
-    IdentityKind,
     InversionS,
     MirrorPa,
     ResidualReport,

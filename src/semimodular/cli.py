@@ -284,7 +284,13 @@ def _pixel_color(value: complex) -> tuple[int, int, int]:
     hue = (math.atan2(value.imag, value.real) + math.pi) / (2.0 * math.pi)
     if hue >= 1.0:
         hue -= 1.0
-    v = 1.0 - 1.0 / (1.0 + math.log1p(abs(value)))
+    try:
+        log_size = math.log1p(abs(value))
+    except OverflowError:
+        # |value| passes double range.  Halving is exact, and at this size
+        # log|value| is log1p|value| to within an ulp.
+        log_size = math.log(abs(value * 0.5)) + math.log(2.0)
+    v = 1.0 - 1.0 / (1.0 + log_size)
     # colorsys.hsv_to_rgb(hue, 1.0, v) written out term for term at s = 1,
     # which saves about a third of this function's time: p = v*0.0 is 0,
     # q = v*(1.0 - f), t = v*(1.0 - (1.0 - f)).  t keeps colorsys's form,

@@ -6,19 +6,19 @@ powers stay exact far past the 64-bit range (F(93) already overflows it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lucas import FIBONACCI, seq_value
 
 
-@dataclass(frozen=True)
-class IntMat2:
-    """Row-major [[p, q], [r, s]] over Python integers."""
+class IntMat2(namedtuple("IntMat2", "p q r s")):
+    """Row-major [[p, q], [r, s]] over Python integers.
 
-    p: int
-    q: int
-    r: int
-    s: int
+    A matrix is the tuple of its entries: `*` between two matrices is the
+    matrix product, but `+` and `n * mat` are the tuple operations.
+    """
+
+    __slots__ = ()
 
     def __mul__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(
@@ -52,9 +52,6 @@ class IntMat2:
         if d == -1:
             return IntMat2(-self.s, self.q, self.r, -self.p)
         raise ValueError(f"determinant {d} is not a unit; no integer inverse")
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.p, self.q, self.r, self.s)
 
 
 IDENTITY = IntMat2(1, 0, 0, 1)

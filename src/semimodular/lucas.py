@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import IndexCapExceeded, UncertifiedOnly
@@ -48,21 +48,22 @@ class Kind(enum.Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "a b kind")):
     """Recursion L(n) = a*L(n-1) - b*L(n-2) with the kind's seed values."""
 
-    a: int
-    b: int
-    kind: Kind = Kind.FIRST
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+    def __new__(cls, a: int, b: int, kind: Kind = Kind.FIRST) -> SequenceSpec:
+        if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError("sequence parameters must be plain integers")
-        if not isinstance(self.kind, Kind):
+        if not isinstance(kind, Kind):
             raise TypeError("kind must be a Kind member")
-        if self.b == 0:
+        if b == 0:
             raise ValueError("b = 0 is rejected: the bilateral series built on it diverges")
+        return tuple.__new__(cls, (a, b, kind))
+
+    # `_replace` builds through `_make`, so it validates too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 FIBONACCI = SequenceSpec(1, -1, Kind.FIRST)
@@ -93,19 +94,17 @@ def seq_value(spec: SequenceSpec, n: int) -> int | Fraction:
     return value * spec.b**m if abs(spec.b) == 1 else Fraction(value, spec.b**m)
 
 
-@dataclass(frozen=True)
-class GrowthInfo:
+class GrowthInfo(namedtuple("GrowthInfo", "dominant_root limit_ratio_neg ratio_lo ratio_hi")):
     """Dominant-root data plus the exact interval spanned by the ratio pair
     r(J) = L(J-1)/L(J), r(J+1) = L(J)/L(J+1) of a certified recursion.
 
     By the bracketing argument in the module docstring the interval contains
     every ratio r(j) with j >= J; both ends are nonzero with the sign of a.
+    Fields: dominant_root and limit_ratio_neg (floats), ratio_lo and
+    ratio_hi (Fractions).
     """
 
-    dominant_root: float
-    limit_ratio_neg: float
-    ratio_lo: Fraction
-    ratio_hi: Fraction
+    __slots__ = ()
 
 
 def is_certified_spec(spec: SequenceSpec) -> bool:

@@ -47,10 +47,8 @@ import cmath
 import enum
 import functools
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import PoleProximity, ToleranceUnreachable
 from .lucas import (
@@ -81,35 +79,33 @@ class Variant(enum.Enum):
     FOOTNOTE = "footnote"
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(namedtuple("SeriesSpec", "seq weight variant")):
     """Weight-m bilateral series over the given sequence."""
 
-    seq: SequenceSpec
-    weight: int
-    variant: Variant = Variant.STANDARD
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.weight, int) or self.weight < 2:
+    def __new__(cls, seq: SequenceSpec, weight: int, variant: Variant = Variant.STANDARD) -> SeriesSpec:
+        if not isinstance(weight, int) or weight < 2:
             raise ValueError("weight must be an integer >= 2")
-        if self.variant is Variant.FOOTNOTE and self.seq != FIBONACCI:
+        if variant is Variant.FOOTNOTE and seq != FIBONACCI:
             raise ValueError("the swapped-coefficient variant is defined for the Fibonacci numbers only")
+        # A plain tuple equals the spec with its fields, but is not one.
+        if not isinstance(seq, SequenceSpec):
+            raise TypeError("seq must be a SequenceSpec")
+        return tuple.__new__(cls, (seq, weight, variant))
+
+    # `_replace` builds through `_make`, so it validates too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class SeriesResult(NamedTuple):
+class SeriesResult(namedtuple("SeriesResult", "value tail_bound j_min j_max certified")):
     """Windowed value plus a bound on the total modulus of omitted terms."""
 
-    value: complex
-    tail_bound: float
-    j_min: int
-    j_max: int
-    certified: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PoleMap:
-    poles: tuple[Fraction, ...]
-    accumulation_points: tuple[float, ...]
+# Exact pole ratios (Fractions) and the accumulation points (floats).
+PoleMap = namedtuple("PoleMap", "poles accumulation_points")
 
 
 def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[complex, complex] | None:

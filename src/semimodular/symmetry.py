@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from .errors import InvalidPairing, MobiusPole, OddWeight, ToleranceUnreachable, UncertifiedOnly
 from .gl2 import S as MAT_S
@@ -47,28 +46,20 @@ FLOOR_COEFF = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
-class InversionS:
+class InversionS(namedtuple("InversionS", "")):
     """f(-1/z) = z**(2k) f(z)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class MirrorPa:
+
+class MirrorPa(namedtuple("MirrorPa", "a")):
     """f(a - z) = f(z), mirror around Re(z) = a/2."""
 
-    a: int
+    __slots__ = ()
 
 
-IdentityKind = Union[InversionS, MirrorPa]
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    sample_points: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    tolerances: tuple[float, ...]
-    passed: bool
-    seed: int
+class ResidualReport(namedtuple("ResidualReport", "sample_points residuals tolerances passed seed")):
+    __slots__ = ()
 
     @property
     def max_residual(self) -> float:
@@ -111,7 +102,7 @@ def slash(spec: SeriesSpec, mat: IntMat2, z: complex, tol: float = 1e-10) -> com
     return factor * evaluate(spec, w, tol).value
 
 
-def matrix_for(kind: IdentityKind) -> IntMat2:
+def matrix_for(kind: InversionS | MirrorPa) -> IntMat2:
     if isinstance(kind, InversionS):
         return MAT_S
     return mirror_matrix(kind.a)
@@ -126,7 +117,7 @@ def _sample_annulus(rng: random.Random) -> complex:
 
 def check_identity(
     spec: SeriesSpec,
-    kind: IdentityKind,
+    kind: InversionS | MirrorPa,
     *,
     n_samples: int = 100,
     seed: int = 0,
@@ -189,13 +180,8 @@ def check_identity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepCheck:
-    name: str
-    z: complex
-    lhs: complex
-    rhs: complex
-    tolerance: float
+class StepCheck(namedtuple("StepCheck", "name z lhs rhs tolerance")):
+    __slots__ = ()
 
     @property
     def residual(self) -> float:

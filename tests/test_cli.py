@@ -8,9 +8,12 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
+import tempfile
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -360,6 +363,21 @@ def test_pixel_color_is_colorsys_term_for_term():
         assert _pixel_color(value) == _colorsys_pixel(value), value
 
 
+def test_pixel_color_past_double_range():
+    # Finite parts, modulus past double range (the first is a weight-2 fib
+    # value next to the pole at 0): the colour of the exact log1p|value|.
+    rng = random.Random(21)
+    values = [complex(1.5562907645525302e308, 1.5562780005014412e308), complex(-1.7e308, -1.7e308)]
+    for x, y in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        values.append(complex(x * rng.uniform(1.3e308, 1.79e308), y * rng.uniform(1.3e308, 1.79e308)))
+    for value in values:
+        with mpmath.workprec(200):
+            log_size = float(mpmath.log1p(abs(mpmath.mpc(value.real, value.imag))))
+        hue = (math.atan2(value.imag, value.real) + math.pi) / (2.0 * math.pi)
+        r, g, b = colorsys.hsv_to_rgb(hue, 1.0, 1.0 - 1.0 / (1.0 + log_size))
+        assert _pixel_color(value) == (int(r * 255 + 0.5), int(g * 255 + 0.5), int(b * 255 + 0.5)), value
+
+
 def test_grid_huge_window_renders_black(tmp_path, capsys):
     # At 1e300 and 1e307 every pixel has the value 1; at -1 + 1e-200i,
     # with the guard off, the terms overflow, so the pixel is black.
@@ -573,12 +591,18 @@ def test_out_of_range_and_removed_options_exit_64(capsys, args, message):
     assert message in captured.err.splitlines()[-1]
 
 
-# Argv fuzz: every input ends in a documented exit code, never a traceback.
-# Each part is drawn valid three times in four, so that whole commands run
-# too.  Pole indices stay within +-200 and scans within 5 samples: a
-# sequence table to the index cap holds about 400 MB.  A valid --weight or
-# --k is sometimes drawn large enough (500-2000, 200-400) that terms,
-# factors or rounding floors leave double range.
+# Argv fuzz: every input ends in a documented exit code, never a traceback;
+# only `check` exits 1; and an error writes nothing to stdout and one line
+# naming the program to stderr, after the usage text for a malformed
+# option.  Each part is drawn valid three times in four, so that whole
+# commands run too.  Pole indices stay within +-200 and scans within 5
+# samples: a sequence table to the index cap holds about 400 MB.  A valid
+# --weight or --k is sometimes drawn large enough (500-2000, 200-400) that
+# terms, factors or rounding floors leave double range.  `grid` draws at
+# most 2x2 pixels in windows of half-width 1e-150 to 1e-160 centred beside
+# the pole at 0, guard off.  At weight 2 the value there is about z**-2: at
+# a centre of modulus 6.4e-155 to 7.3e-155 on the bisector of an octant
+# both parts of it are finite, and its modulus passes double range.
 def _mostly(good, bad):
     return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
 
@@ -609,6 +633,20 @@ _VARIANT = _option("--variant", st.just("standard"), st.sampled_from(["footnote"
 
 def _argv(command, *parts):
     return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+def _tiny_window(half, radius, octant):
+    angle = (2 * octant + 1) * math.pi / 8
+    x, y = radius * math.cos(angle), radius * math.sin(angle)
+    return f"{x - half!r},{x + half!r},{y - half!r},{y + half!r}"
+
+
+_TINY_WINDOW = _mostly(
+    st.builds(
+        _tiny_window, st.integers(150, 160).map(lambda e: 10.0**-e), st.floats(6.4e-155, 7.3e-155), st.integers(0, 7)
+    ),
+    st.sampled_from(["1e-155,1e-156,0,1e-155", "nan,1,0,1", "0,1e-155,0", "x"]),
+).map(lambda w: [f"--window={w}"])
 
 
 _ARGV = st.one_of(
@@ -652,22 +690,45 @@ _ARGV = st.one_of(
             ),
         ),
     ),
+    _argv(
+        "grid",
+        st.one_of(st.just(["--seq=fib"]), _SELECTOR),
+        _mostly(st.just(2), st.sampled_from([3, 4, 1, "x"])).map(lambda w: [f"--weight={w}"]),
+        _TINY_WINDOW,
+        _mostly(st.sampled_from(["1x1", "1x2", "2x1", "2x2"]), st.sampled_from(["0x1", "2", "x"])).map(
+            lambda r: ["--res", r]
+        ),
+        # Each .ppm name is placed in a fresh temporary directory.
+        _mostly(st.just("x.ppm"), st.just("missing/x.ppm")).map(lambda out: ["--out", out]),
+        st.just(["--guard-eps=0"]),
+        _VARIANT,
+        _UNCERTIFIED,
+    ),
 )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_ARGV)
 def test_argv_fuzz_documented_exits(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([os.path.join(tmp, a) if a.endswith(".ppm") else a for a in argv])
     assert code in {0, 1, 2, 3, 64, 74}, argv
     assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if code in {0, 1}:
+        assert lines == [] and (code == 0 or argv[0] == "check"), argv
+    else:
+        assert out.getvalue() == "", argv
+        assert [i for i, line in enumerate(lines) if re.match(r"semimodular( \w+)?: ", line)] == [len(lines) - 1], argv
+        if len(lines) > 1:
+            assert code == 64 and lines[0].startswith("usage: "), argv
 
 
-# Runs in a fresh interpreter: records the modules already loaded (site
-# hooks load some), imports the CLI and runs every subcommand, then prints
-# the exit codes and the top-level modules loaded since.
+# Runs in a fresh interpreter without site hooks (they can preload
+# modules such as typing): records the modules already loaded, imports the
+# CLI and runs every subcommand, then prints the exit codes, the top-level
+# modules loaded since, and which of three heavy modules are loaded at all.
 _IMPORT_PROBE = r"""
 import contextlib, io, json, os, sys, tempfile
 before = set(sys.modules)
@@ -682,7 +743,8 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
          "--out", os.path.join(tmp, "grid.ppm")],
     )]
 loaded = sorted({name.partition(".")[0] for name in set(sys.modules) - before})
-print(json.dumps({"codes": codes, "loaded": loaded}))
+heavy = [name for name in ("dataclasses", "typing", "inspect") if name in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded, "heavy": heavy}))
 """
 
 
@@ -690,7 +752,7 @@ def test_runtime_imports_only_the_standard_library():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
+        [sys.executable, "-S", "-c", _IMPORT_PROBE],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
@@ -699,3 +761,4 @@ def test_runtime_imports_only_the_standard_library():
     assert "semimodular" in result["loaded"]
     foreign = [m for m in result["loaded"] if m != "semimodular" and m not in sys.stdlib_module_names]
     assert foreign == []
+    assert result["heavy"] == []

@@ -22,13 +22,13 @@ from semimodular import (
 
 
 def test_named_constants():
-    assert T.entries() == (1, 1, 0, 1)
-    assert U.entries() == (0, 1, 1, 0)
-    assert V.entries() == (1, 0, 0, -1)
-    assert S.entries() == (0, -1, 1, 0)
-    assert P.entries() == (-1, 1, 0, 1)
-    assert M_PRIME.entries() == (-1, 0, 0, 1)
-    assert mirror_matrix(3).entries() == (-1, 3, 0, 1)
+    assert T == (1, 1, 0, 1)
+    assert U == (0, 1, 1, 0)
+    assert V == (1, 0, 0, -1)
+    assert S == (0, -1, 1, 0)
+    assert P == (-1, 1, 0, 1)
+    assert M_PRIME == (-1, 0, 0, 1)
+    assert mirror_matrix(3) == (-1, 3, 0, 1)
 
 
 def test_determinants():
@@ -44,9 +44,9 @@ def test_inversion_order_four():
 
 
 def test_fibonacci_matrix():
-    assert (P * S).entries() == (1, 1, 1, 0)
-    assert (P * S).power(3).entries() == (3, 2, 2, 1)
-    assert (P * S).power(1).entries() == (1, 1, 1, 0)
+    assert P * S == (1, 1, 1, 0)
+    assert (P * S).power(3) == (3, 2, 2, 1)
+    assert (P * S).power(1) == (1, 1, 1, 0)
 
 
 @pytest.mark.parametrize("n", list(range(1, 51)))

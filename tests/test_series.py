@@ -11,16 +11,23 @@ import pytest
 from semimodular import (
     FIBONACCI,
     IndexCapExceeded,
+    InversionS,
     Kind,
     LUCAS_NUMBERS,
+    MirrorPa,
+    P,
     PoleProximity,
+    S,
     SequenceSpec,
     SeriesSpec,
     ToleranceUnreachable,
     Variant,
+    check_identity,
     evaluate,
     evaluate_halves,
+    growth_info,
     pole_map,
+    proof_step,
     seq_value,
 )
 from semimodular import series
@@ -478,3 +485,61 @@ def test_kernel_bits_are_pinned():
         assert got == want, (fn.__name__, seq, weight, variant, z)
     ppm = render_grid(F4, (-2.0, 2.0, -2.0, 2.0), 24, 24)
     assert hashlib.sha256(ppm).hexdigest() == "9c8107efba5509f0c835bb516f19f9edda7572e8a711316d29f1a544ebed7b2a"
+
+
+def test_value_types_keep_reprs_and_checks():
+    # Reprs as the earlier dataclass types printed them.
+    cases = [
+        (SequenceSpec(3, -1, Kind.SECOND), "SequenceSpec(a=3, b=-1, kind=<Kind.SECOND: 'second'>)"),
+        (SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE),
+         "SeriesSpec(seq=SequenceSpec(a=1, b=-1, kind=<Kind.FIRST: 'first'>), weight=4, "
+         "variant=<Variant.FOOTNOTE: 'footnote'>)"),
+        (evaluate(F4, Z0),
+         "SeriesResult(value=(-0.33091931013111475+2.8630716364024402j), tail_bound=1.3761939886657463e-13, "
+         "j_min=-16, j_max=16, certified=True)"),
+        (pole_map(FIBONACCI, -2, 3),
+         "PoleMap(poles=(Fraction(-1, 1), Fraction(-1, 2), Fraction(0, 1), Fraction(1, 1), Fraction(2, 1)), "
+         "accumulation_points=(-0.6180339887498948, 1.618033988749895))"),
+        (growth_info(FIBONACCI, 3),
+         "GrowthInfo(dominant_root=1.618033988749895, limit_ratio_neg=-0.6180339887498948, "
+         "ratio_lo=Fraction(1, 2), ratio_hi=Fraction(2, 3))"),
+        (P * S, "IntMat2(p=1, q=1, r=1, s=0)"),
+        (InversionS(), "InversionS()"),
+        (MirrorPa(1), "MirrorPa(a=1)"),
+        (check_identity(SeriesSpec(FIBONACCI, 2), InversionS(), n_samples=1, seed=3),
+         "ResidualReport(sample_points=((-2.351503168161061-0.6708427105828167j),), "
+         "residuals=(1.2716779685529958e-14,), tolerances=(1.1870367513607084e-08,), passed=True, seed=3)"),
+        (proof_step("full-negate", 1, 0.5 + 0.5j),
+         "StepCheck(name='full-negate', z=(0.5+0.5j), lhs=(4.169997680492088e-13-2.0838886172214188e-13j), "
+         "rhs=(1.0413891970983968e-13-5.218048215738236e-14j), tolerance=2.914995054556446e-09)"),
+    ]
+    for value, text in cases:
+        assert repr(value) == text
+        for name in value._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+
+    # Tuples: equal and hash-equal to their fields; `*` of two matrices is
+    # the product, `+` and `n * mat` are tuple operations.
+    a, b, kind = FIBONACCI
+    assert FIBONACCI == (a, b, kind) == (1, -1, Kind.FIRST) and hash(F4) == hash((FIBONACCI, 4, Variant.STANDARD))
+    assert not InversionS() and P * S == (1, 1, 1, 0) and 2 * S == S + S == (0, -1, 1, 0) * 2
+    assert SequenceSpec(a=1, b=-1) == FIBONACCI and SequenceSpec(a=1, b=-1).kind is Kind.FIRST
+    assert SeriesSpec(seq=FIBONACCI, weight=4) == F4 and F4.variant is Variant.STANDARD
+    # Checked in this order, each with its own type and message; `_replace`
+    # checks too.
+    for build, error, message in [
+        (lambda: SequenceSpec(1.5, 0), TypeError, "sequence parameters must be plain integers"),
+        (lambda: SequenceSpec(1, -1, "first"), TypeError, "kind must be a Kind member"),
+        (lambda: SequenceSpec(1, 0), ValueError, "b = 0 is rejected: the bilateral series built on it diverges"),
+        (lambda: FIBONACCI._replace(b=0), ValueError, "b = 0 is rejected: the bilateral series built on it diverges"),
+        (lambda: SeriesSpec(LUCAS_NUMBERS, 1, Variant.FOOTNOTE), ValueError, "weight must be an integer >= 2"),
+        (lambda: SeriesSpec(FIBONACCI, 4.0), ValueError, "weight must be an integer >= 2"),
+        (lambda: F4._replace(weight=1), ValueError, "weight must be an integer >= 2"),
+        (lambda: SeriesSpec(LUCAS_NUMBERS, 4, Variant.FOOTNOTE), ValueError,
+         "the swapped-coefficient variant is defined for the Fibonacci numbers only"),
+        (lambda: SeriesSpec(tuple(FIBONACCI), 4, Variant.FOOTNOTE), TypeError, "seq must be a SequenceSpec"),
+    ]:
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
