@@ -30,8 +30,9 @@ from .series import (
     GUARD_EPS,
     SeriesSpec,
     Variant,
+    _accumulation_points,
+    _pole_pairs,
     evaluate,
-    pole_map,
 )
 from .symmetry import InversionS, MirrorPa, check_identity
 
@@ -171,23 +172,9 @@ def _cmd_check(args) -> int:
         eval_tol=args.tol,
         force_pairing=force,
     )
-    for i, (z, r, t) in enumerate(
-        zip(report.sample_points, report.residuals, report.tolerances)
-    ):
-        _emit(
-            args,
-            {
-                "type": "sample",
-                "index": i,
-                "z_re": z.real,
-                "z_im": z.imag,
-                "residual": r,
-                "tolerance": t,
-                "ok": r <= t,
-            },
-            f"sample {i:3d}  z = {z.real:+.4f}{z.imag:+.4f}i  residual {r:.3e}  "
-            f"tolerance {t:.3e}  {'ok' if r <= t else 'FAIL'}",
-        )
+    human, write = args.format == "human", sys.stdout.write
+    for i, (z, r, t) in enumerate(zip(report.sample_points, report.residuals, report.tolerances)):
+        write(_sample_line(i, z, r, t, human))
     _emit(
         args,
         {
@@ -204,43 +191,68 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _check_printable(poles) -> None:
+def _sample_line(i: int, z: complex, r: float, t: float, human: bool) -> str:
+    """One sample record; jsonl has `_emit`'s bytes, since json writes a
+    finite float as its repr."""
+    x, y = z.real, z.imag
+    if human:
+        return (
+            f"sample {i:3d}  z = {x:+.4f}{y:+.4f}i  residual {r:.3e}  "
+            f"tolerance {t:.3e}  {'ok' if r <= t else 'FAIL'}\n"
+        )
+    # A sum of finite values is finite or overflows to inf; json.dumps
+    # raises its own ValueError at the first value that is not finite.
+    if not math.isfinite(x + y + r + t):
+        json.dumps((x, y, r, t), allow_nan=False)
+    return (
+        f'{{"schema":{SCHEMA},"type":"sample","index":{i},"z_re":{x!r},"z_im":{y!r},'
+        f'"residual":{r!r},"tolerance":{t!r},"ok":{"true" if r <= t else "false"}}}\n'
+    )
+
+
+def _pole_line(num: int, den: int, human: bool) -> str:
+    """One pole record; jsonl has `_emit`'s bytes, since json writes an int
+    as its str."""
+    n, d = str(num), str(den)
+    if human:
+        return f"pole {n}/{d}\n"
+    return f'{{"schema":{SCHEMA},"type":"pole","fraction":"{n}/{d}","numerator":{n},"denominator":{d}}}\n'
+
+
+def _check_printable(pairs) -> None:
     """Raise unless every entry prints: one str() of the longest entry, which
     passes CPython's int-to-str digit limit (4300 by default) iff all do."""
     try:
-        str(max((max(abs(p.numerator), p.denominator) for p in poles), default=0))
+        str(max((max(abs(num), den) for num, den in pairs), default=0))
     except ValueError:
         raise ValueError("a pole has entries too long to print; narrow --nmin/--nmax") from None
 
 
 def _cmd_poles(args) -> int:
     seq = _gated_seq(args)
-    if args.nmin <= args.nmax <= INDEX_CAP:
+    nmin, nmax = args.nmin, args.nmax
+    if nmin <= nmax <= INDEX_CAP:
         # For b = -1, a != 0 |L(n)| does not decrease as |n| grows (|n| >= 1),
         # so the end poles carry the longest entries: their check refuses an
-        # unprintable range before the map is built.  An --nmax past the
-        # index cap is left to pole_map, which names that index at once.
-        _check_printable(pole_map(seq, args.nmin, args.nmin).poles + pole_map(seq, args.nmax, args.nmax).poles)
-    pm = pole_map(seq, args.nmin, args.nmax)
-    _check_printable(pm.poles)
-    for p in pm.poles:
-        _emit(
-            args,
-            {
-                "type": "pole",
-                "fraction": f"{p.numerator}/{p.denominator}",
-                "numerator": p.numerator,
-                "denominator": p.denominator,
-            },
-            f"pole {p.numerator}/{p.denominator}",
-        )
+        # unprintable range before any other pole is made.  Other sequences
+        # are checked in full below.  An --nmax past the index cap is left
+        # to the map, which names that index before its first pole.
+        _check_printable([*_pole_pairs(seq, nmin, nmin), *_pole_pairs(seq, nmax, nmax)])
+    pairs = _pole_pairs(seq, nmin, nmax)
+    if not is_certified_spec(seq):
+        pairs = list(pairs)
+        _check_printable(pairs)
+    human, write = args.format == "human", sys.stdout.write
+    for num, den in pairs:
+        write(_pole_line(num, den, human))
+    accumulation = _accumulation_points(seq)
     _emit(
         args,
         {
             "type": "accumulation",
-            "points": list(pm.accumulation_points),
+            "points": list(accumulation),
         },
-        "accumulation points: " + (", ".join(repr(a) for a in pm.accumulation_points) or "none"),
+        "accumulation points: " + (", ".join(repr(a) for a in accumulation) or "none"),
     )
     return EXIT_OK
 

@@ -53,6 +53,7 @@ from fractions import Fraction
 from .errors import PoleProximity, ToleranceUnreachable
 from .lucas import (
     FIBONACCI,
+    Kind,
     SequenceSpec,
     growth_info,
     is_certified_spec,
@@ -244,13 +245,67 @@ def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
 
 def _pole_ratios(seq: SequenceSpec, n_min: int, n_max: int):
     """The exact ratios L(n)/L(n-1), n_min <= n <= n_max, with L(n-1) != 0."""
-    if n_min <= n_max:
-        # The end indices first: one past the index cap fails before any pole.
-        seq_value(seq, n_min - 1), seq_value(seq, n_max)
     for n in range(n_min, n_max + 1):
         denom = seq_value(seq, n - 1)
         if denom != 0:
             yield Fraction(seq_value(seq, n), denom)
+
+
+def _pole_pairs(seq: SequenceSpec, n_min: int, n_max: int):
+    """The pole ratios L(n)/L(n-1), n_min <= n <= n_max, L(n-1) != 0, as
+    reduced (numerator, denominator) ints with denominator > 0, ascending
+    by value and each once.
+
+    Other recursions sort their `Fraction`s.  For b = -1, a != 0 the order
+    and the reduction are known in closed form.  Take a > 0 first.  By the
+    sign rule the pole at n = 1 - k (k >= 1) is -L(k-1)/L(k) = -1/p(k),
+    where p(k) = L(k)/L(k-1) is the pole at n = k, and p(1) = +inf for the
+    first kind (L(0) = 0: index 1 has no pole, index 0 has the pole 0).
+    The p(k), k >= 1, are positive and follow p(k+1) = f(p(k)) with
+    f(x) = a + 1/x, decreasing on (0, +inf], whose fixed point is the
+    irrational dominant root phi.  For 0 < x < phi, f(x) > phi and
+    x < f(f(x)) < phi, since f(f(x)) - x = a (1 + a x - x**2)/(1 + a x) > 0
+    and f o f increases; above phi the same holds reversed.  So the p(k) of
+    one parity (even k for the first kind, from p(2) = a; odd k for the
+    second, from p(1) = a/2) increase strictly towards phi, and the others
+    decrease strictly towards it.  x -> -1/x increases, so the poles
+    -1/p(k) <= 0 of the indices n <= 0 keep that order, below every pole of
+    the indices n >= 1.  The ascending map is thus four runs of distinct
+    values: n <= 0 by k over the low parity upwards, then the high parity
+    downwards, then n >= 1 the same way.  For a < 0 the sequence is the
+    |a| one with signs (-1)**n or -(-1)**n attached, so every pole is
+    minus the |a| pole at the same index and the runs go in reverse.
+    Reduction: L(n) = a L(n-1) + L(n-2) gives gcd(L(n), L(n-1)) =
+    gcd(L(n-1), L(n-2)), so every pair shares g = gcd(L(1), L(0)).
+    """
+    if n_min <= n_max:
+        # The end indices first: one past the index cap fails before any pole.
+        seq_value(seq, n_min - 1), seq_value(seq, n_max)
+    if not is_certified_spec(seq):
+        for p in sorted(set(_pole_ratios(seq, n_min, n_max))):
+            yield p.numerator, p.denominator
+        return
+    g = math.gcd(seq_value(seq, 1), seq_value(seq, 0))
+    low = 0 if seq.kind is Kind.FIRST else 1
+
+    def runs(k_min: int, k_max: int) -> tuple[range, range]:
+        """The k in [k_min, k_max] of the low parity upwards, then of the high parity downwards."""
+        up = range(k_min + (k_min - low) % 2, k_max + 1, 2)
+        down = range(k_max - (k_max - low + 1) % 2, k_min - 1, -2)
+        return up, down
+
+    # (index side, k range): for a > 0 the pole at n <= 0 is -|L(k-1)|/|L(k)|
+    # with k = 1 - n, and at n >= 1 it is |L(k)|/|L(k-1)| with k = n.
+    order = [(True, ks) for ks in runs(1 - min(n_max, 0), 1 - n_min)]
+    order += [(False, ks) for ks in runs(max(n_min, 2 - low), n_max)]
+    sign = 1
+    if seq.a < 0:
+        sign = -1
+        order = [(nonpositive, ks[::-1]) for nonpositive, ks in reversed(order)]
+    for nonpositive, ks in order:
+        for k in ks:
+            lo, hi = abs(seq_value(seq, k - 1)) // g, abs(seq_value(seq, k)) // g
+            yield (-sign * lo, hi) if nonpositive else (sign * hi, lo)
 
 
 def pole_map(seq: SequenceSpec, n_min: int, n_max: int) -> PoleMap:
@@ -260,7 +315,7 @@ def pole_map(seq: SequenceSpec, n_min: int, n_max: int) -> PoleMap:
     Accumulation points are reported for the b = -1 family (they are the
     dominant root and minus its reciprocal); other recursions report none.
     """
-    return PoleMap(tuple(sorted(set(_pole_ratios(seq, n_min, n_max)))), _accumulation_points(seq))
+    return PoleMap(tuple(Fraction(*p) for p in _pole_pairs(seq, n_min, n_max)), _accumulation_points(seq))
 
 
 def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:

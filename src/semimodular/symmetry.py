@@ -32,6 +32,8 @@ from .lucas import FIBONACCI, SequenceSpec, is_certified_spec, seq_value
 from .series import (
     SeriesResult,
     SeriesSpec,
+    _distance,
+    _guard_points,
     evaluate,
     evaluate_halves,
     pole_distance,
@@ -144,6 +146,7 @@ def check_identity(
         )
 
     mat = matrix_for(kind)
+    guard = _guard_points(spec.seq)
     rng = random.Random(seed)
     points: list[complex] = []
     residuals: list[float] = []
@@ -154,12 +157,12 @@ def check_identity(
         if attempts > 1000 * n_samples:
             raise RuntimeError("sampling stalled; rejection region too large")
         z = _sample_annulus(rng)
-        z_distance = pole_distance(spec.seq, z)
+        z_distance = _distance(guard, z)
         if z_distance < REJECT_RADIUS:
             continue
         # No pole: S has denominator z, |z| >= 0.2; mirror matrices have 1.
         image = mobius_apply(mat, z)
-        image_distance = pole_distance(spec.seq, image)
+        image_distance = _distance(guard, image)
         if image_distance < REJECT_RADIUS:
             continue
         factor = _factor(mat.r * z + mat.s, spec.weight)

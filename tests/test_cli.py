@@ -2,6 +2,7 @@
 
 import colorsys
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,10 +13,11 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semimodular import cli
 from semimodular.cli import main, render_grid, _pixel_color
@@ -29,7 +31,9 @@ from semimodular import (
     ToleranceUnreachable,
     Variant,
     evaluate,
+    pole_map,
 )
+from oracle import coeffs
 
 
 def run_cli(capsys, args):
@@ -182,6 +186,113 @@ def test_check_negative_control(capsys):
     )
     assert code == 1
     assert records(out)[-1]["pass"] is False
+
+
+# sha256 of stdout, generated at the commit before the sample records were
+# written from a template.
+_CHECK_PINS = [
+    (["check", "--identity", "inversion", "--seq", "fib", "--k", "2", "--samples", "100", "--seed", "7"], 0,
+     "37a3cc405c666074ad7635739a7f3c32f462f3354982a6817e93e9da08e30bb9",
+     "a2017305a8de2c655ba3f7add3ced933fea509533924d2decefe763d5c8ebc14"),
+    (["check", "--identity", "mirror", "--seq", "lucas-first:3:-1", "--k", "1"], 0,
+     "d4faacded71f223e724f38dfc49cc17abd8abd3912f9dbc44a885a163b47e6d1",
+     "27f3c650669e7bfcb3303c440518c28aae7e54a09e7d6539aaf0dda603c93105"),
+    (["check", "--identity", "mirror", "--seq", "fib", "--variant", "footnote", "--k", "2", "--seed", "3"], 0,
+     "de658f6703fe1dd0ddfc3d73b044ae000caf4418074f6d83cf27e5a48614dfac",
+     "a98d136673f9d4bea9b570b5f3ff8cd81b885931ffce6007f66e1c925598fe60"),
+    (["check", "--identity", "mirror", "--seq", "fib", "--k", "1", "--mirror-a", "2"], 1,
+     "5c4b2597320988e3428b738b4330b6da54df60e3c8e9ed8e356a034a27055e33",
+     "e01af5590e8c513784c035db166e08c9fedd30d9b886f7bc7b35e5ccb8ea1bea"),
+]
+
+
+@pytest.mark.parametrize("argv, code, jsonl, human", _CHECK_PINS)
+def test_check_bytes_are_pinned(capsys, argv, code, jsonl, human):
+    for fmt, digest in (("jsonl", jsonl), ("human", human)):
+        got, out = run_cli(capsys, argv + ["--format", fmt])
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), fmt
+
+
+def _json_line(record):
+    return json.dumps({"schema": 1, **record}, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+_FLOATS = st.floats()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0, max_value=10**6), x=_FLOATS, y=_FLOATS, r=_FLOATS, t=_FLOATS)
+@example(i=0, x=-0.0, y=5e-324, r=1.7976931348623157e308, t=1e16)
+@example(i=7, x=1e-5, y=-1e-5, r=1e16, t=1e-5)
+@example(i=3, x=0.1, y=-0.0, r=math.inf, t=1.0)
+@example(i=4, x=0.1, y=0.2, r=1.0, t=math.nan)
+@example(i=5, x=1e308, y=1e308, r=1e308, t=1e308)
+@example(i=6, x=0.5, y=-0.5, r=1e-12, t=1e-12)
+def test_sample_template_is_json(i, x, y, r, t):
+    record = {"type": "sample", "index": i, "z_re": x, "z_im": y, "residual": r, "tolerance": t, "ok": r <= t}
+    try:
+        want = _json_line(record)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            cli._sample_line(i, complex(x, y), r, t, False)
+        assert str(raised.value) == str(exc)
+    else:
+        assert cli._sample_line(i, complex(x, y), r, t, False) == want
+
+
+_ENTRY = 10**4300 - 1  # the longest int that prints
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num=st.integers(min_value=-_ENTRY, max_value=_ENTRY), den=st.integers(min_value=1, max_value=_ENTRY))
+@example(num=-_ENTRY, den=_ENTRY)
+@example(num=0, den=1)
+def test_pole_template_is_json(num, den):
+    record = {"type": "pole", "fraction": f"{num}/{den}", "numerator": num, "denominator": den}
+    assert cli._pole_line(num, den, False) == _json_line(record)
+    assert cli._pole_line(num, den, True) == f"pole {num}/{den}\n"
+
+
+def _pole_order_cases():
+    """About 250 (selector, nmin, nmax) over b = -1 (a in +-1..+-6, both
+    kinds) and b in {2, 3, -2}: the single index 1 (no pole for the first
+    kind), a single seeded index, an empty range, and three seeded ranges
+    around n = 0, 1 and 2, in seeded order."""
+    rng = random.Random(22)
+    seqs = [(kind, a, -1) for kind in ("first", "second") for a in range(-6, 7) if a]
+    seqs += [(kind, a, b) for kind in ("first", "second") for a in (-2, 1, 3) for b in (2, 3, -2)]
+    cases = []
+    for kind, a, b in seqs:
+        selector = f"lucas-{kind}:{a}:{b}"
+        n = rng.randint(-30, 30)
+        cases += [(selector, 1, 1), (selector, n, n), (selector, n + 1, n)]
+        for _ in range(3):
+            lo = rng.randint(-25, 2)
+            cases.append((selector, lo, rng.randint(max(lo, 0), 25)))
+    rng.shuffle(cases)
+    return cases
+
+
+@pytest.mark.parametrize("selector, nmin, nmax", _pole_order_cases())
+def test_pole_order_matches_the_sorted_set(capsys, selector, nmin, nmax):
+    seq = cli._seq(selector)
+    spec = SeriesSpec(seq, 2)
+    ratios = (coeffs(spec, n) for n in range(nmin, nmax + 1))
+    want = sorted({c1 / c0 for c1, c0 in ratios if c0 != 0})
+    argv = ["poles", "--seq", selector, "--nmin", str(nmin), "--nmax", str(nmax), "--uncertified"]
+    pm = pole_map(seq, nmin, nmax)
+    assert list(pm.poles) == want
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    acc = {"type": "accumulation", "points": list(pm.accumulation_points)}
+    assert out == "".join(
+        _json_line({"type": "pole", "fraction": f"{p.numerator}/{p.denominator}",
+                    "numerator": p.numerator, "denominator": p.denominator})
+        for p in want
+    ) + _json_line(acc)
+    code, out = run_cli(capsys, argv + ["--format", "human"])
+    assert code == 0
+    assert out.splitlines()[:-1] == [f"pole {p.numerator}/{p.denominator}" for p in want]
 
 
 def test_poles_golden(capsys):
