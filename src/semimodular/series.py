@@ -33,11 +33,11 @@ The negatively indexed half is the same picture pushed through the sign
 rule L(-n) = +-L(n): its pole at index -n sits at L(n+1)/L(n) = a + r(n),
 inside the exact interval a + I, with the same scale and growth.  The
 swapped variant exchanges the two clusters (its positive-side poles are
-the reciprocals 1/r(j)).  Everything entering a bound is exact (integer
-sequence values, rational interval endpoints); the only floating-point
-steps are the final distance and logarithms, taken with outward-widened
-endpoints and a relative safety factor.  Other recursions get heuristic
-tails and results flagged uncertified.
+the reciprocals 1/r(j)).  The window is the smallest these envelopes
+certify, read off a table of |L| in closed form (`_plan_window`).  Only
+the distance, the doubles of |L| and a few products and powers round;
+widened cluster ends and a relative 1e-12 off the distance cover them.
+Other recursions get heuristic tails and results flagged uncertified.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ GUARD_EPS = 1e-6
 # the accumulation-point check subsumes them.
 GUARD_DEPTH = 64
 START_WINDOW = 8
+MIN_WINDOW = 4
 MAX_WINDOW = 10_000
 MIN_TOL = 1e-13
 
@@ -139,14 +140,14 @@ class _Kernel:
       operand of complex `*` and `+` into complex(x, 0.0) first: storing
       that conversion gives `c1*z + c0` the same bits, once per row instead
       of twice per term.
-    - `ladders[m]`: weight m's window ladder, the rungs
-      (J, neg params, pos params) for J = START_WINDOW, 2*START_WINDOW, ...,
-      MAX_WINDOW, with the certified `_tail_params` at edge J + 1; grown one
-      rung at a time by `climb`, as far as some window has needed.
+    - `mags[n]`: the double of |L(n)|, or the lower bound 2**1023 from
+      |L(n)| >= 2**1024 on; nondecreasing from n = 1, grown by `grow`.
+    - `edges[m][E]`: weight m's certified `_tail_params` at edge E + 1,
+      for the reference edges the planner has used.
     - `guard`: the sequence's `_guard_points`.
     """
 
-    __slots__ = ("seq", "variant", "certified", "neg", "pos", "ladders", "guard")
+    __slots__ = ("seq", "variant", "certified", "neg", "pos", "mags", "edges", "guard")
 
     def __init__(self, seq: SequenceSpec, variant: Variant) -> None:
         self.seq = seq
@@ -154,7 +155,8 @@ class _Kernel:
         self.certified = is_certified_spec(seq)
         self.neg: list[tuple[complex, complex] | None] = []
         self.pos: list[tuple[complex, complex] | None] = []
-        self.ladders: defaultdict[int, list[tuple[int, tuple, tuple]]] = defaultdict(list)
+        self.mags: list[float] = []
+        self.edges: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
         self.guard = _guard_points(seq)
 
     def rows_upto(self, n: int) -> tuple[list, list]:
@@ -168,12 +170,15 @@ class _Kernel:
             pos.append(above)
         return neg, pos
 
-    def climb(self, m: int) -> tuple[int, tuple, tuple]:
-        """Append the next rung to weight m's ladder and return it."""
-        ladder = self.ladders[m]
-        J = min(2 * ladder[-1][0], MAX_WINDOW) if ladder else START_WINDOW
-        ladder.append((J, *_tail_params(self.seq, self.variant, m, J + 1)))
-        return ladder[-1]
+    def grow(self, neg_c: float, pos_c: float, n: int) -> bool:
+        """Grow `mags` to n entries or more and the larger c to three from its
+        end (the footnote sides' indices differ by 2); False for a c >= 2**1023."""
+        c = max(neg_c, pos_c)
+        mags = self.mags
+        while c < 2.0**1023 and (len(mags) < n or mags[-3] < c):
+            value = abs(seq_value(self.seq, len(mags)))
+            mags.append(float(value) if value.bit_length() < 1024 else 2.0**1023)
+        return c < 2.0**1023
 
 
 _kernel = functools.lru_cache(maxsize=None)(_Kernel)
@@ -358,62 +363,32 @@ def _distance(points: tuple[float, ...], z: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interval_distance(z: complex, lo: float, hi: float) -> float:
-    x = z.real
-    if x < lo:
-        dx = lo - x
-    elif x > hi:
-        dx = x - hi
-    else:
-        dx = 0.0
-    return math.hypot(dx, z.imag)
-
-
 def _widened(lo: Fraction, hi: Fraction) -> tuple[float, float]:
     """Float endpoints rounded outward so the float interval covers the exact one."""
     return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
 
 
 def _tail_params(seq: SequenceSpec, variant: Variant, m: int, edge: int) -> tuple[tuple, tuple]:
-    """z-independent pieces of the certified (neg, pos) side tails at a
-    window edge: widened cluster endpoints, log of the (integer) scale
-    value, and log1p(-g**-m) for the growth ratio g.
+    """z-independent pieces of the certified (neg, pos) side tails of every
+    window J >= edge - 1 (later clusters lie inside, later g are larger):
+    widened cluster ends, gamma = (1 - g**-m) ** (-1/m) for the growth
+    ratio g, and the shift to the index J + shift of the scale |L|.
 
     The ratio interval is taken at edge-1 so it also covers the swapped
     variant, whose coefficient indices trail by one.  Only certified
-    sequences (b = -1, a != 0) come here, and edge - 1 >= 8, so both
+    sequences (b = -1, a != 0) come here, and edge - 1 >= 3, so both
     bracketing ratios are nonzero with the sign of a and g = |a| + min|I| > 1.
     """
     info = growth_info(seq, edge - 1)
     lo, hi = info.ratio_lo, info.ratio_hi
     g = float(abs(seq.a) + min(abs(lo), abs(hi)))
-    log_geometric = math.log1p(-(g**-m))
+    gamma = math.exp(-math.log1p(-(g**-m)) / m)
 
     if variant is Variant.STANDARD:
-        sides = (((seq.a + lo, seq.a + hi), edge), ((-hi, -lo), edge))
+        sides = (((seq.a + lo, seq.a + hi), 1), ((-hi, -lo), 1))
     else:
-        sides = (((-hi, -lo), edge + 1), ((1 / hi, 1 / lo), edge - 1))
-    return tuple(
-        (*_widened(min(ends), max(ends)), math.log(abs(seq_value(seq, n))), log_geometric)
-        for ends, n in sides
-    )
-
-
-def _certified_side_tail(params, z: complex, m: int) -> float:
-    """Bound the omitted mass on one side from its `_tail_params`.
-
-    Sound for b = -1, a != 0 per the envelope in the module docstring.
-    """
-    c_lo, c_hi, log_scale, log_geometric = params
-    d = _interval_distance(z, c_lo, c_hi) * (1.0 - 1e-12)
-    if d <= 0.0:
-        return math.inf
-    log_tail = -m * (math.log(d) + log_scale) - log_geometric
-    if log_tail < -745.0:
-        return 0.0
-    if log_tail > 709.0:
-        return math.inf
-    return math.exp(log_tail)
+        sides = (((-hi, -lo), 2), ((1 / hi, 1 / lo), 0))
+    return tuple((*_widened(min(ends), max(ends)), gamma, shift) for ends, shift in sides)
 
 
 def _heuristic_side_tail(row: tuple, z: complex, m: int, edge: int, sign: int) -> float:
@@ -439,24 +414,48 @@ def _window_cap(neg: float, pos: float, tol: float) -> ToleranceUnreachable:
 
 
 def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, float, float]:
-    """The first window J of the ladder whose side tails both meet tol / 2,
-    as (J, neg tail, pos tail)."""
+    """The window J whose side tails both meet half = tol / 2, as
+    (J, neg tail, pos tail).
+
+    Certified: the smallest J >= E whose side envelopes, with the
+    `_tail_params` of the reference edge E + 1, meet half.  An envelope
+    d**-m |L(J + shift)|**-m / (1 - g**-m) does so exactly when
+    |L(J + shift)| >= c = s gamma / d, s = half**(-1/m), so J is a
+    bisection in `mags`, and the tail reported, half (c / |L|)**m, is the
+    envelope.  Rounding in s, gamma, c and the power stays far below the
+    relative 1e-12 taken off d.  E starts at MIN_WINDOW; z in a cluster of
+    E (d <= 0, or c >= 2**1023) or J > 8E (z hugging a cluster)
+    moves E to max(J, 2E).  Exploration: the first window of the ladder
+    J = START_WINDOW, 2*START_WINDOW, ... with heuristic tails.
+    """
     half = tol / 2
     if kern.certified:
-        ladder = kern.ladders[m]
-        i = 0
+        s = half ** (-1 / m)
+        x, y = z.real, z.imag
+        E = MIN_WINDOW
         while True:
-            J, neg_params, pos_params = ladder[i] if i < len(ladder) else kern.climb(m)
-            neg = _certified_side_tail(neg_params, z, m)
-            # Below the cap a failed negative side moves up a rung whatever
-            # the positive side says; the cap message reads both.
-            if neg <= half or J >= MAX_WINDOW:
-                pos = _certified_side_tail(pos_params, z, m)
+            sides = kern.edges[m].get(E) or kern.edges[m].setdefault(E, _tail_params(kern.seq, kern.variant, m, E + 1))
+            (neg_lo, neg_hi, neg_gamma, neg_shift), (pos_lo, pos_hi, pos_gamma, pos_shift) = sides
+            neg_d = math.hypot(neg_lo - x if x < neg_lo else x - neg_hi if x > neg_hi else 0.0, y) * (1.0 - 1e-12)
+            pos_d = math.hypot(pos_lo - x if x < pos_lo else x - pos_hi if x > pos_hi else 0.0, y) * (1.0 - 1e-12)
+            if E >= MAX_WINDOW:
+                # |L(E + shift)| > 1e2000, so an envelope with d > 0 is below the least double.
+                neg, pos = 0.0 if neg_d > 0.0 else math.inf, 0.0 if pos_d > 0.0 else math.inf
                 if neg <= half and pos <= half:
-                    return J, neg, pos
-                if J >= MAX_WINDOW:
-                    raise _window_cap(neg, pos, tol)
-            i += 1
+                    return E, neg, pos
+                raise _window_cap(neg, pos, tol)
+            J = E
+            if neg_d > 0.0 and pos_d > 0.0:
+                neg_c, pos_c = s * neg_gamma / neg_d, s * pos_gamma / pos_d
+                mags = kern.mags
+                if (len(mags) >= E + 3 and mags[-3] >= neg_c and mags[-3] >= pos_c) or kern.grow(neg_c, pos_c, E + 3):
+                    J = bisect.bisect_left(mags, neg_c, E + neg_shift) - neg_shift
+                    K = bisect.bisect_left(mags, pos_c, E + pos_shift) - pos_shift
+                    if K > J:
+                        J = K
+                    if J <= 8 * E:
+                        return J, half * (neg_c / mags[J + neg_shift]) ** m, half * (pos_c / mags[J + pos_shift]) ** m
+            E = min(max(J, 2 * E), MAX_WINDOW)
     J = START_WINDOW
     while True:
         neg_row, pos_row = kern.rows_upto(J + 4)

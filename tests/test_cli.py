@@ -188,21 +188,21 @@ def test_check_negative_control(capsys):
     assert records(out)[-1]["pass"] is False
 
 
-# sha256 of stdout, generated at the commit before the sample records were
-# written from a template.
+# sha256 of stdout, generated when the certified windows became the
+# smallest at their reference edge (every sample keeps its pass/fail).
 _CHECK_PINS = [
     (["check", "--identity", "inversion", "--seq", "fib", "--k", "2", "--samples", "100", "--seed", "7"], 0,
-     "37a3cc405c666074ad7635739a7f3c32f462f3354982a6817e93e9da08e30bb9",
-     "a2017305a8de2c655ba3f7add3ced933fea509533924d2decefe763d5c8ebc14"),
+     "0f7817ce012a8206480d90385b8c6c89b977302111732ed83a5a432eedbf8b22",
+     "a4007d217c6ab23bb205b190774a9c28f7b370b182dd6afe4526672b8f7ddc67"),
     (["check", "--identity", "mirror", "--seq", "lucas-first:3:-1", "--k", "1"], 0,
-     "d4faacded71f223e724f38dfc49cc17abd8abd3912f9dbc44a885a163b47e6d1",
-     "27f3c650669e7bfcb3303c440518c28aae7e54a09e7d6539aaf0dda603c93105"),
+     "d97f0b357e78eaaab483b4aae3830519d363613241e592b7f372b0d9ed0327c9",
+     "54ef5a94e160ea4e0d293297f01e06260df18b7f13683ec28182091a4920efad"),
     (["check", "--identity", "mirror", "--seq", "fib", "--variant", "footnote", "--k", "2", "--seed", "3"], 0,
-     "de658f6703fe1dd0ddfc3d73b044ae000caf4418074f6d83cf27e5a48614dfac",
-     "a98d136673f9d4bea9b570b5f3ff8cd81b885931ffce6007f66e1c925598fe60"),
+     "3b37d4ce97ee18bec5da033ae07ec168ad8cc215a6bc8cb21cd1ca87a6929a3a",
+     "d492af3f154fba609901ea6403306ce23978825c8b13ce3b120a79bc83cb8331"),
     (["check", "--identity", "mirror", "--seq", "fib", "--k", "1", "--mirror-a", "2"], 1,
-     "5c4b2597320988e3428b738b4330b6da54df60e3c8e9ed8e356a034a27055e33",
-     "e01af5590e8c513784c035db166e08c9fedd30d9b886f7bc7b35e5ccb8ea1bea"),
+     "7f97fd65ff5e6f9bb1e471ab3cc76274833f1856ec0dd6f3ee21c05cf7a63abf",
+     "a027fee0ecd95ff3b669f3dc6e45613d5033ea8810268cb583656d3df3989012"),
 ]
 
 
