@@ -292,17 +292,22 @@ def _cmd_matrix(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _pixel_color(value: complex) -> tuple[int, int, int]:
-    hue = (math.atan2(value.imag, value.real) + math.pi) / (2.0 * math.pi)
-    if hue >= 1.0:
-        hue -= 1.0
+def _brightness(value: complex) -> float:
+    """The pixel brightness 1 - 1/(1 + log1p|value|), the same for conj(value)."""
     try:
         log_size = math.log1p(abs(value))
     except OverflowError:
         # |value| passes double range.  Halving is exact, and at this size
         # log|value| is log1p|value| to within an ulp.
         log_size = math.log(abs(value * 0.5)) + math.log(2.0)
-    v = 1.0 - 1.0 / (1.0 + log_size)
+    return 1.0 - 1.0 / (1.0 + log_size)
+
+
+def _pixel_color(value: complex, v: float) -> tuple[int, int, int]:
+    """The colour of hue arg(value) at brightness v = `_brightness(value)`."""
+    hue = (math.atan2(value.imag, value.real) + math.pi) / (2.0 * math.pi)
+    if hue >= 1.0:
+        hue -= 1.0
     # colorsys.hsv_to_rgb(hue, 1.0, v) written out term for term at s = 1,
     # which saves about a third of this function's time: p = v*0.0 is 0,
     # q = v*(1.0 - f), t = v*(1.0 - (1.0 - f)).  t keeps colorsys's form,
@@ -342,7 +347,8 @@ def render_grid(
     Every coefficient is a real integer, so f(conj z) == conj(f(z)) bit for
     bit (errors included).  A row whose im is exactly -im of a later row is
     therefore evaluated once: its pixels are encoded both as computed and
-    conjugated, and the later row takes the conjugated bytes (black stays
+    conjugated, with one brightness for both (abs is exact under
+    conjugation), and the later row takes the conjugated bytes (black stays
     black).  A kept row is dropped once its twin has used it.  The bytes are
     those of evaluating every pixel.
     """
@@ -368,9 +374,10 @@ def render_grid(
                 if twin is not None:
                     twin += b"\0\0\0"
                 continue
-            out.extend(_pixel_color(value))
+            v = _brightness(value)
+            out.extend(_pixel_color(value, v))
             if twin is not None:
-                twin.extend(_pixel_color(value.conjugate()))
+                twin.extend(_pixel_color(value.conjugate(), v))
         if twin is not None:
             kept[im] = twin
     return bytes(out)

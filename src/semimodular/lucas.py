@@ -47,6 +47,10 @@ class Kind(enum.Enum):
     FIRST = "first"
     SECOND = "second"
 
+    # Members are singletons, so identity hashing is sound, and it skips the
+    # Python-level `Enum.__hash__` in every cache keyed by a spec.
+    __hash__ = object.__hash__
+
 
 class SequenceSpec(namedtuple("SequenceSpec", "a b kind")):
     """Recursion L(n) = a*L(n-1) - b*L(n-2) with the kind's seed values."""

@@ -47,6 +47,7 @@ import cmath
 import enum
 import functools
 import math
+import sys
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
@@ -67,9 +68,12 @@ GUARD_DEPTH = 64
 START_WINDOW = 8
 MIN_WINDOW = 4
 MAX_WINDOW = 10_000
+# Windows up to this J keep their rows in summing order (`_Kernel.window`).
+STORED_WINDOW = 64
 MIN_TOL = 1e-13
 
 _OVERFLOW = "terms overflow double range"
+_TINY = sys.float_info.min
 
 # Coefficients wider than this cannot influence any supported tolerance;
 # they are also unsafe to push through float().
@@ -79,6 +83,9 @@ _HUGE_BITS = 512
 class Variant(enum.Enum):
     STANDARD = "standard"
     FOOTNOTE = "footnote"
+
+    # Identity hash, as for `Kind`.
+    __hash__ = object.__hash__
 
 
 class SeriesSpec(namedtuple("SeriesSpec", "seq weight variant")):
@@ -135,11 +142,14 @@ class _Kernel:
     """Evaluation state of one (sequence, variant), shared by its weights.
 
     - `neg[k]` and `pos[k]`: the `_coeffs_float` rows of indices -k and k
-      (equal lengths, only ever grown; each sum slices its own window).
+      (equal lengths, only ever grown).
       The rows are complex because CPython (3.10-3.13) turns a float
       operand of complex `*` and `+` into complex(x, 0.0) first: storing
       that conversion gives `c1*z + c0` the same bits, once per row instead
       of twice per term.
+    - `windows[J]`: `window(J)`, kept for J <= STORED_WINDOW only (a few
+      thousand references), however many windows are planned; rows only
+      ever grow, so a kept window never goes stale.
     - `mags[n]`: the double of |L(n)|, or the lower bound 2**1023 from
       |L(n)| >= 2**1024 on; nondecreasing from n = 1, grown by `grow`.
     - `edges[m][E]`: weight m's certified `_tail_params` at edge E + 1,
@@ -147,7 +157,7 @@ class _Kernel:
     - `guard`: the sequence's `_guard_points`.
     """
 
-    __slots__ = ("seq", "variant", "certified", "neg", "pos", "mags", "edges", "guard")
+    __slots__ = ("seq", "variant", "certified", "neg", "pos", "windows", "mags", "edges", "guard")
 
     def __init__(self, seq: SequenceSpec, variant: Variant) -> None:
         self.seq = seq
@@ -155,6 +165,7 @@ class _Kernel:
         self.certified = is_certified_spec(seq)
         self.neg: list[tuple[complex, complex] | None] = []
         self.pos: list[tuple[complex, complex] | None] = []
+        self.windows: dict[int, tuple[list, list]] = {}
         self.mags: list[float] = []
         self.edges: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
         self.guard = _guard_points(seq)
@@ -169,6 +180,16 @@ class _Kernel:
             neg.append(below)
             pos.append(above)
         return neg, pos
+
+    def window(self, J: int) -> tuple[list, list]:
+        """The rows of indices -J..0 and J..1, each from its far end inward."""
+        rows = self.windows.get(J)
+        if rows is None:
+            neg, pos = self.rows_upto(J + 1)
+            rows = neg[J::-1], pos[J:0:-1]
+            if J <= STORED_WINDOW:
+                self.windows[J] = rows
+        return rows
 
     def grow(self, neg_c: float, pos_c: float, n: int) -> bool:
         """Grow `mags` to n entries or more and the larger c to three from its
@@ -215,7 +236,7 @@ def _half_sum(pairs, z: complex, e: int, j0: int, step: int) -> complex:
             t = total + y
             comp = (t - total) - y
             total = t
-        if math.isfinite(total.real) and math.isfinite(total.imag):
+        if cmath.isfinite(total):
             return total
     except (ZeroDivisionError, OverflowError):
         pass
@@ -409,6 +430,11 @@ def _heuristic_side_tail(row: tuple, z: complex, m: int, edge: int, sign: int) -
     return mags[0] / (1.0 - q)
 
 
+def _up(x: float) -> float:
+    """x, or below the normal range (too few bits for the 1e-12) the next double up."""
+    return math.nextafter(x, math.inf) if x < _TINY else x
+
+
 def _window_cap(neg: float, pos: float, tol: float) -> ToleranceUnreachable:
     return ToleranceUnreachable(f"window cap {MAX_WINDOW} hit with side tails ({neg:.3e}, {pos:.3e}) > {tol:.1e}/2")
 
@@ -423,18 +449,20 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
     |L(J + shift)| >= c = s gamma / d, s = half**(-1/m), so J is a
     bisection in `mags`, and the tail reported, half (c / |L|)**m, is the
     envelope.  Rounding in s, gamma, c and the power stays far below the
-    relative 1e-12 taken off d.  E starts at MIN_WINDOW; z in a cluster of
-    E (d <= 0, or c >= 2**1023) or J > 8E (z hugging a cluster)
-    moves E to max(J, 2E).  Exploration: the first window of the ladder
+    relative 1e-12 taken off d, save below the normal range, where `_up`
+    rounds the power and the tail up.  E starts at MIN_WINDOW and doubles
+    while z is in a cluster of E (d <= 0, or c >= 2**1023) or J > 8E (z
+    hugging a cluster).  Exploration: the first window of the ladder
     J = START_WINDOW, 2*START_WINDOW, ... with heuristic tails.
     """
     half = tol / 2
     if kern.certified:
         s = half ** (-1 / m)
         x, y = z.real, z.imag
+        edges, mags = kern.edges[m], kern.mags
         E = MIN_WINDOW
         while True:
-            sides = kern.edges[m].get(E) or kern.edges[m].setdefault(E, _tail_params(kern.seq, kern.variant, m, E + 1))
+            sides = edges.get(E) or edges.setdefault(E, _tail_params(kern.seq, kern.variant, m, E + 1))
             (neg_lo, neg_hi, neg_gamma, neg_shift), (pos_lo, pos_hi, pos_gamma, pos_shift) = sides
             neg_d = math.hypot(neg_lo - x if x < neg_lo else x - neg_hi if x > neg_hi else 0.0, y) * (1.0 - 1e-12)
             pos_d = math.hypot(pos_lo - x if x < pos_lo else x - pos_hi if x > pos_hi else 0.0, y) * (1.0 - 1e-12)
@@ -447,15 +475,18 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
             J = E
             if neg_d > 0.0 and pos_d > 0.0:
                 neg_c, pos_c = s * neg_gamma / neg_d, s * pos_gamma / pos_d
-                mags = kern.mags
                 if (len(mags) >= E + 3 and mags[-3] >= neg_c and mags[-3] >= pos_c) or kern.grow(neg_c, pos_c, E + 3):
                     J = bisect.bisect_left(mags, neg_c, E + neg_shift) - neg_shift
                     K = bisect.bisect_left(mags, pos_c, E + pos_shift) - pos_shift
                     if K > J:
                         J = K
                     if J <= 8 * E:
-                        return J, half * (neg_c / mags[J + neg_shift]) ** m, half * (pos_c / mags[J + pos_shift]) ** m
-            E = min(max(J, 2 * E), MAX_WINDOW)
+                        neg_p, pos_p = (neg_c / mags[J + neg_shift]) ** m, (pos_c / mags[J + pos_shift]) ** m
+                        neg, pos = half * neg_p, half * pos_p
+                        if neg_p < _TINY or pos_p < _TINY or neg < _TINY or pos < _TINY:
+                            neg, pos = _up(half * _up(neg_p)), _up(half * _up(pos_p))
+                        return J, neg, pos
+            E = min(2 * E, MAX_WINDOW)
     J = START_WINDOW
     while True:
         neg_row, pos_row = kern.rows_upto(J + 4)
@@ -486,18 +517,20 @@ def _evaluate(spec: SeriesSpec, z: complex, tol: float, guard_eps: float) -> tup
     if not (MIN_TOL <= tol < math.inf):
         raise ValueError(f"tol must be finite and >= {MIN_TOL}")
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     if not (guard_eps >= 0):
         raise ValueError(f"guard_eps must be >= 0, got {guard_eps}")
     kern = _kernel(spec.seq, spec.variant)
-    d = _distance(kern.guard, z)
-    if d < guard_eps:
-        raise PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {guard_eps:.1e})")
+    # Every guarded point is real, so |Im z| bounds the distance from below.
+    if abs(z.imag) < guard_eps:
+        d = _distance(kern.guard, z)
+        if d < guard_eps:
+            raise PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {guard_eps:.1e})")
     J, neg_tail, pos_tail = _plan_window(kern, z, spec.weight, tol)
-    neg, pos = kern.rows_upto(J + 1)
-    minus = _half_sum(neg[J::-1], z, -spec.weight, -J, 1)
-    plus = _half_sum(pos[J:0:-1], z, -spec.weight, J, -1)
+    neg, pos = kern.window(J)
+    minus = _half_sum(neg, z, -spec.weight, -J, 1)
+    plus = _half_sum(pos, z, -spec.weight, J, -1)
     return J, minus, plus, neg_tail, pos_tail, kern.certified
 
 
@@ -515,9 +548,10 @@ def evaluate_halves(
     and guard_eps >= 0 (0 turns the guard off); anything else is a ValueError.
     """
     J, minus, plus, neg_tail, pos_tail, certified = _evaluate(spec, z, tol, guard_eps)
+    # tuple.__new__ skips the namedtuple's Python-level __new__.
     return (
-        SeriesResult(minus, neg_tail, -J, 0, certified),
-        SeriesResult(plus, pos_tail, 1, J, certified),
+        tuple.__new__(SeriesResult, (minus, neg_tail, -J, 0, certified)),
+        tuple.__new__(SeriesResult, (plus, pos_tail, 1, J, certified)),
     )
 
 
@@ -535,4 +569,4 @@ def evaluate(
     the sum of the two half bounds.
     """
     J, minus, plus, neg_tail, pos_tail, certified = _evaluate(spec, z, tol, guard_eps)
-    return SeriesResult(minus + plus, neg_tail + pos_tail, -J, J, certified)
+    return tuple.__new__(SeriesResult, (minus + plus, neg_tail + pos_tail, -J, J, certified))

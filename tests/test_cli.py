@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semimodular import cli
-from semimodular.cli import main, render_grid, _pixel_color
+from semimodular.cli import main, render_grid, _brightness, _pixel_color
 from semimodular import (
     FIBONACCI,
     GUARD_EPS,
@@ -451,7 +451,7 @@ def test_grid_single_pixel_matches_eval(tmp_path, capsys):
     pixel = out_path.read_bytes()[len(b"P6\n1 1\n255\n"):]
     z = complex(0.3, 0.7)
     value = evaluate(SeriesSpec(FIBONACCI, 4), z, 1e-8).value
-    assert pixel == bytes(_pixel_color(value))
+    assert pixel == bytes(_pixel_color(value, _brightness(value)))
 
 
 def _colorsys_pixel(value):
@@ -471,7 +471,9 @@ def test_pixel_color_is_colorsys_term_for_term():
         scale = 10 ** rng.uniform(-12, 300)
         values.append(complex(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale))
     for value in values:
-        assert _pixel_color(value) == _colorsys_pixel(value), value
+        assert _pixel_color(value, _brightness(value)) == _colorsys_pixel(value), value
+        # A twinned row colours the conjugate with the value's brightness.
+        assert _pixel_color(value.conjugate(), _brightness(value)) == _colorsys_pixel(value.conjugate()), value
 
 
 def test_pixel_color_past_double_range():
@@ -486,13 +488,13 @@ def test_pixel_color_past_double_range():
             log_size = float(mpmath.log1p(abs(mpmath.mpc(value.real, value.imag))))
         hue = (math.atan2(value.imag, value.real) + math.pi) / (2.0 * math.pi)
         r, g, b = colorsys.hsv_to_rgb(hue, 1.0, 1.0 - 1.0 / (1.0 + log_size))
-        assert _pixel_color(value) == (int(r * 255 + 0.5), int(g * 255 + 0.5), int(b * 255 + 0.5)), value
+        assert _pixel_color(value, _brightness(value)) == (int(r * 255 + 0.5), int(g * 255 + 0.5), int(b * 255 + 0.5)), value
 
 
 def test_grid_huge_window_renders_black(tmp_path, capsys):
     # At 1e300 and 1e307 every pixel has the value 1; at -1 + 1e-200i,
     # with the guard off, the terms overflow, so the pixel is black.
-    one = b"P6\n2 2\n255\n" + bytes(_pixel_color(1 + 0j)) * 4
+    one = b"P6\n2 2\n255\n" + bytes(_pixel_color(1 + 0j, _brightness(1 + 0j))) * 4
     for window, extra, expected in (
         ("1e300,2e300,1e300,2e300", ["--res", "2x2"], one),
         ("1e307,2e307,1e307,2e307", ["--res", "2x2"], one),
@@ -553,7 +555,8 @@ def _unmirrored_grid(spec, window, width, height, tol=1e-8, guard_eps=GUARD_EPS)
         for i in range(width):
             re = x0 + (i + 0.5) * (x1 - x0) / width
             try:
-                out.extend(_pixel_color(evaluate(spec, complex(re, im), tol, guard_eps=guard_eps).value))
+                value = evaluate(spec, complex(re, im), tol, guard_eps=guard_eps).value
+                out.extend(_pixel_color(value, _brightness(value)))
             except (PoleProximity, ToleranceUnreachable):
                 out.extend((0, 0, 0))
     return bytes(out)

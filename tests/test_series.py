@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -110,6 +111,37 @@ def test_guard_eps_configurable():
     assert res.certified
     with pytest.raises(PoleProximity):
         evaluate(F4, z, 1e-9, guard_eps=1e-4)
+
+
+def test_guard_outcome_at_the_imaginary_shortcut():
+    # The guard skips its search when |Im z| >= guard_eps, since every
+    # guarded point is real.  At that edge, one ulp inside it and on a
+    # pole's real part, evaluate still raises exactly when the distance is
+    # below guard_eps, and otherwise returns the unguarded result.
+    cases = []
+    for eps in (series.GUARD_EPS, 1e-3, 0.0, math.inf):
+        edge = eps if eps < math.inf else sys.float_info.max
+        for x in (1.0, 0.5, PHI, 0.3):
+            for y in (edge, math.nextafter(edge, 0.0), 0.0):
+                cases += [(complex(x, y), eps), (complex(x, -y), eps)]
+    raised = 0
+    for spec in (F4, SeriesSpec(FIBONACCI, 3, Variant.FOOTNOTE)):
+        for z, eps in cases:
+            d = series.pole_distance(spec.seq, z)
+            try:
+                got = repr(evaluate(spec, z, 1e-10, guard_eps=eps))
+            except (PoleProximity, ToleranceUnreachable) as exc:
+                got = repr(exc)
+            if d < eps:
+                raised += 1
+                want = repr(PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {eps:.1e})"))
+            else:
+                try:
+                    want = repr(evaluate(spec, z, 1e-10, guard_eps=0.0))
+                except (PoleProximity, ToleranceUnreachable) as exc:
+                    want = repr(exc)
+            assert got == want, (spec, z, eps)
+    assert raised > len(cases) // 2
 
 
 def test_tol_floor():
@@ -342,10 +374,10 @@ def _log_envelopes(spec, z, edge, J):
 
 def _reference_window(spec, z, tol):
     """(E, J) of the planner, recomputed in logarithms by a linear search:
-    E from MIN_WINDOW, moved to 2E while z lies in one of E's clusters and
-    to max(J, 2E) while J > 8E; None past the cap.  (The planner also moves
-    E when c = s gamma / d reaches 2**1023, at d below about 1e-300, which
-    no point here comes near.)"""
+    E from MIN_WINDOW, moved to 2E while z lies in one of E's clusters or
+    J > 8E; None past the cap.  (The planner also moves E when
+    c = s gamma / d reaches 2**1023, at d below about 1e-300, which no
+    point here comes near.)"""
     log_half, E = math.log(tol / 2), series.MIN_WINDOW
     while E < series.MAX_WINDOW:
         J = E
@@ -354,7 +386,7 @@ def _reference_window(spec, z, tol):
                 J += 1
             if J <= 8 * E:
                 return E, J
-        E = min(max(J, 2 * E), series.MAX_WINDOW)
+        E = min(2 * E, series.MAX_WINDOW)
     return None
 
 
@@ -397,6 +429,10 @@ def test_planner_is_minimal_at_its_reference_edge():
         windows.add((E, J))
     # Reference edges past the first, and windows below START_WINDOW, occur.
     assert {E for E, _ in windows} > {series.MIN_WINDOW} and min(J for _, J in windows) < series.START_WINDOW
+
+    # Inside E = 4's negative cluster, outside E = 8's: E doubles, and the
+    # window is not pushed up to the J = 46 planned at E = 4.
+    assert series._plan_window(series._kernel(FIBONACCI, Variant.STANDARD), -0.63 + 1e-6j, 4, 1e-13)[0] == 27
 
     # Exactly at an accumulation point the tails never shrink: the cap.
     phi = (1 + 5**0.5) / 2
@@ -441,6 +477,42 @@ def test_small_edge_tails_cover_the_omitted_mass():
     assert worst > 0.9999
 
 
+def test_subnormal_tail_covers_the_exact_omitted_mass():
+    # The plus-side tail at J = 751 is subnormal, with about 31 bits: an
+    # ulp there is far more than the relative 1e-12 margin, so the tail is
+    # rounded up.  One ulp lower it would undercut the omitted mass.
+    spec, z = SeriesSpec(FIBONACCI, 2), complex(PHI, 1e-150)
+    plus = evaluate_halves(spec, z, 1e-13, guard_eps=0.0)[1]
+    assert plus.j_max == 751 and 0.0 < plus.tail_bound < sys.float_info.min
+    X, Y = Fraction(z.real), Fraction(z.imag)
+    terms = [1 / ((c1 * X + c0) ** 2 + (c1 * Y) ** 2) for c1, c0 in (coeffs(spec, k) for k in range(752, 952))]
+    # Each later modulus is below half the one before (|L| grows by about
+    # phi), so all the terms past these sum to less than the last one.
+    mass = sum(terms)
+    assert mass + terms[-1] <= Fraction(plus.tail_bound)
+    assert Fraction(math.nextafter(plus.tail_bound, 0.0)) < mass
+
+
+def test_tails_cover_their_exact_envelopes_past_a_subnormal_power():
+    # At tol 8e16 and |z| near 1e150 the power (c/|L|)**2 is subnormal and
+    # tol/2 lifts the tail back to the normal range, so the power's own
+    # rounding must be rounded up as well.  Fib w2 at J = E = 4: the exact
+    # envelope is 1 / (d**2 L(5)**2 (1 - g**-2)), d the distance to the
+    # exact cluster [a + lo, a + hi] (j <= 0) or [-hi, -lo] (j >= 1).
+    info = growth_info(FIBONACCI, 4)
+    lo, hi = info.ratio_lo, info.ratio_hi
+    g = 1 + min(abs(lo), abs(hi))
+    kern = series._kernel(FIBONACCI, Variant.STANDARD)
+    for k in range(20):
+        z = complex(1e150 * (1 + k / 7), 1e150)
+        J, neg, pos = series._plan_window(kern, z, 2, 8e16)
+        # The tail is normal, the power tail / 4e16 subnormal.
+        assert J == 4 and sys.float_info.min < neg < 4e16 * sys.float_info.min
+        x, y = Fraction(z.real), Fraction(z.imag)
+        for tail, d2 in ((neg, (x - 1 - hi) ** 2 + y**2), (pos, (x + lo) ** 2 + y**2)):
+            assert Fraction(tail) >= 1 / (d2 * 5**2 * (1 - 1 / g**2)), (z, tail)
+
+
 def test_one_kernel_per_sequence_and_variant():
     # The coefficient rows depend on the sequence and the variant only, so
     # weights 2-12 share one kernel; the footnote variant has its own.
@@ -481,6 +553,9 @@ def test_results_do_not_depend_on_kernel_history():
     forward = run(range(len(corpus)))
     assert run(range(len(corpus) - 1, -1, -1)) == forward
     assert sum(isinstance(r, list) for r in forward.values()) > 1500
+    # And every bit is pinned, so a faster kernel must reproduce them.
+    digest = hashlib.sha256(repr([forward[i] for i in range(len(corpus))]).encode()).hexdigest()
+    assert digest == "cc0a7a94a1987e08eb3a59e7ee8fee9c5ad45eb8b6dee8d611c05f81d23e618b"
 
 
 def test_shared_kernel_results_do_not_depend_on_call_order():
@@ -555,14 +630,14 @@ PINNED_BITS = [
      [("-0x1.9ea1d9e4013c2p+6", "0x0.0p+0", "0x1.05d60c9d6d4fbp-35", -20, 0), ("0x1.75e32b1d6fb08p+0", "0x0.0p+0", "0x1.5eb9280507b4ep-41", 1, 20)]),
     # both halves resummed inverted
     ((evaluate, FIBONACCI, 4, STANDARD, 1e300 + 1e300j, 1e-10, GUARD),
-     [("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", -4, 4)]),
+     [("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0000000000002p-1022", -4, 4)]),
     ((evaluate_halves, FIBONACCI, 2, STANDARD, complex(PHI, 2e-6), 1e-13, GUARD),
-     [("0x1.312de0047aa7bp+8", "0x1.93d9b1f1b3d2dp+13", "0x1.bba8e53d79887p-46", -61, 0), ("0x1.3c6ef372f9aa2p-1", "-0x1.65e9f80f252d2p-20", "0x1.863f4b34a546cp-86", 1, 61)]),
+     [("0x1.312de0047aa7bp+8", "0x1.93d9b1f1b3d2dp+13", "0x1.bbca7d4b987ddp-46", -61, 0), ("0x1.3c6ef372f9aa2p-1", "-0x1.65e9f80f252d2p-20", "0x1.867f6fe850bd0p-86", 1, 61)]),
     # J = 751: None rows past |j| = 740, the minus half resummed inverted
     ((evaluate_halves, FIBONACCI, 2, STANDARD, complex(PHI, 1e-150), 1e-13, 0.0),
-     [("-0x1.09fe404d9d2f7p+944", "0x1.7cbfd5136f5e8p-392", "0x1.5edcb3aa61ab0p-45", -751, 0), ("0x1.3c6ef372fe94fp-1", "-0x1.17544f17fb84dp-499", "0x0.000005dfce9edp-1022", 1, 751)]),
+     [("-0x1.09fe404d9d2f7p+944", "0x1.7cbfd5136f5e8p-392", "0x1.5edcb3aa61ab0p-45", -751, 0), ("0x1.3c6ef372fe94fp-1", "-0x1.17544f17fb84dp-499", "0x0.000005dfce9eep-1022", 1, 751)]),
     ((evaluate, FIBONACCI, 2, FOOTNOTE, complex(-1 / PHI, 1e-150), 1e-6, 0.0),
-     [("-0x1.edb81511f0a00p+944", "-0x1.70525436afcefp-390", "0x1.9774d19ddb589p-23", -734, 734)]),
+     [("-0x1.edb81511f0a00p+944", "-0x1.70525436afcefp-390", "0x1.0aaf021c68850p-21", -733, 733)]),
 ]
 
 
