@@ -220,22 +220,20 @@ def _power_error(pairs, z: complex, j0: int, step: int) -> Exception:
 
 
 def _half_sum(pairs, z: complex, e: int, j0: int, step: int) -> complex:
-    """Compensated (Kahan) sum of (c1*z + c0) ** e over the complex rows
-    `pairs`, in order, where pairs[k] belongs to index j0 + step*k.
+    """Plain sum of (c1*z + c0) ** e over the complex rows `pairs`, in
+    order, where pairs[k] belongs to index j0 + step*k; a None pair is an
+    exact zero term and is skipped.
 
-    The term order and each operation of the loop are part of the contract.
-    A None pair is an exact zero term; it stays in the loop because it
-    still moves the compensation.  A power can overflow without raising
-    (giving nan), so a total that is not finite fails like a raised
-    overflow; a failed sum goes on to `_resum_inverted`.
+    The term order and each operation of the loop are part of the contract;
+    the terms mostly ascend, where Kahan compensation bought little.  A power
+    can overflow without raising (giving nan), so a non-finite total fails
+    like a raised overflow; a failed sum goes on to `_resum_inverted`.
     """
-    total = comp = 0j
+    total = 0j
     try:
         for pair in pairs:
-            y = (0j if pair is None else (pair[0] * z + pair[1]) ** e) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
+            if pair is not None:
+                total += (pair[0] * z + pair[1]) ** e
         if cmath.isfinite(total):
             return total
     except (ZeroDivisionError, OverflowError):
@@ -467,8 +465,8 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
             neg_d = math.hypot(neg_lo - x if x < neg_lo else x - neg_hi if x > neg_hi else 0.0, y) * (1.0 - 1e-12)
             pos_d = math.hypot(pos_lo - x if x < pos_lo else x - pos_hi if x > pos_hi else 0.0, y) * (1.0 - 1e-12)
             if E >= MAX_WINDOW:
-                # |L(E + shift)| > 1e2000, so an envelope with d > 0 is below the least double.
-                neg, pos = 0.0 if neg_d > 0.0 else math.inf, 0.0 if pos_d > 0.0 else math.inf
+                # |L(E + shift)| > 1e2000: an envelope with d > 0 is below the least double, so rounds up to it.
+                neg, pos = _up(0.0) if neg_d > 0.0 else math.inf, _up(0.0) if pos_d > 0.0 else math.inf
                 if neg <= half and pos <= half:
                     return E, neg, pos
                 raise _window_cap(neg, pos, tol)
@@ -511,8 +509,8 @@ def _evaluate(spec: SeriesSpec, z: complex, tol: float, guard_eps: float) -> tup
     """The one evaluation core: validate, guard, plan the window and sum
     both halves.  Returns (J, minus, plus, neg_tail, pos_tail, certified).
 
-    Each half is accumulated from its far end inward (ascending term
-    magnitude) with Kahan compensation.
+    Each half is summed plainly from its far end inward (ascending term
+    magnitude).
     """
     if not (MIN_TOL <= tol < math.inf):
         raise ValueError(f"tol must be finite and >= {MIN_TOL}")

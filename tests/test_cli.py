@@ -188,21 +188,22 @@ def test_check_negative_control(capsys):
     assert records(out)[-1]["pass"] is False
 
 
-# sha256 of stdout, generated when the certified windows became the
-# smallest at their reference edge (every sample keeps its pass/fail).
+# sha256 of stdout, generated when each half became a plain sum (every
+# sample keeps its pass/fail; only residuals moved, in their last bits).
+# The ids name the runs, so a re-pin keeps the test names.
 _CHECK_PINS = [
-    (["check", "--identity", "inversion", "--seq", "fib", "--k", "2", "--samples", "100", "--seed", "7"], 0,
-     "0f7817ce012a8206480d90385b8c6c89b977302111732ed83a5a432eedbf8b22",
-     "a4007d217c6ab23bb205b190774a9c28f7b370b182dd6afe4526672b8f7ddc67"),
-    (["check", "--identity", "mirror", "--seq", "lucas-first:3:-1", "--k", "1"], 0,
-     "d97f0b357e78eaaab483b4aae3830519d363613241e592b7f372b0d9ed0327c9",
-     "54ef5a94e160ea4e0d293297f01e06260df18b7f13683ec28182091a4920efad"),
-    (["check", "--identity", "mirror", "--seq", "fib", "--variant", "footnote", "--k", "2", "--seed", "3"], 0,
-     "3b37d4ce97ee18bec5da033ae07ec168ad8cc215a6bc8cb21cd1ca87a6929a3a",
-     "d492af3f154fba609901ea6403306ce23978825c8b13ce3b120a79bc83cb8331"),
-    (["check", "--identity", "mirror", "--seq", "fib", "--k", "1", "--mirror-a", "2"], 1,
-     "7f97fd65ff5e6f9bb1e471ab3cc76274833f1856ec0dd6f3ee21c05cf7a63abf",
-     "a027fee0ecd95ff3b669f3dc6e45613d5033ea8810268cb583656d3df3989012"),
+    pytest.param(["check", "--identity", "inversion", "--seq", "fib", "--k", "2", "--samples", "100", "--seed", "7"], 0,
+                 "f4e98ac63dd20be7aa6dc9932987ba6ccb35a1de90f6096ae7002e660f1027a0",
+                 "c9db49dc1984a9ec90106b621060c8f6c9d31c603b92091c5b5e13a2f91ceb47", id="inversion-fib-k2"),
+    pytest.param(["check", "--identity", "mirror", "--seq", "lucas-first:3:-1", "--k", "1"], 0,
+                 "5ed6a33f3d797624c4a0a7e4cc31d680ee7271e362570580c98d6fb5d7688a10",
+                 "99d9276c28bc24f902c3ced42c2a9c8f00279000f6c32a83a43d174a47972111", id="mirror-lucas-first-3-1-k1"),
+    pytest.param(["check", "--identity", "mirror", "--seq", "fib", "--variant", "footnote", "--k", "2", "--seed", "3"], 0,
+                 "e126cf4ad334e548527cbb5a292a0c17b85df1149ba14d55334c4c78ff896864",
+                 "d492af3f154fba609901ea6403306ce23978825c8b13ce3b120a79bc83cb8331", id="mirror-fib-footnote-k2"),
+    pytest.param(["check", "--identity", "mirror", "--seq", "fib", "--k", "1", "--mirror-a", "2"], 1,
+                 "a46070ac111efca9a1bd4c4830cefc99091f9b0fc66707e69c4b8f7a32f8bb51",
+                 "a027fee0ecd95ff3b669f3dc6e45613d5033ea8810268cb583656d3df3989012", id="mirror-fib-control"),
 ]
 
 

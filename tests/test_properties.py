@@ -101,14 +101,11 @@ def _reference_term(spec, j, z):
     return (float(c1) * z + float(c0)) ** -spec.weight
 
 
-def _reference_kahan(terms):
+def _reference_sum(terms):
+    # The kernel's plain sum, term by term in the order given.
     total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
     for t in terms:
-        y = t - comp
-        tentative = total + y
-        comp = (tentative - total) - y
-        total = tentative
+        total += t
     return total
 
 
@@ -154,6 +151,6 @@ def test_kernel_matches_scalar_reference(spec, re, im, tol):
         return
     J = plus.j_max
     assert minus.j_min == -J
-    assert minus.value == _reference_kahan(_reference_term(spec, j, z) for j in range(-J, 1))
-    assert plus.value == _reference_kahan(_reference_term(spec, j, z) for j in range(J, 0, -1))
+    assert minus.value == _reference_sum(_reference_term(spec, j, z) for j in range(-J, 1))
+    assert plus.value == _reference_sum(_reference_term(spec, j, z) for j in range(J, 0, -1))
     assert evaluate(spec, z, tol).value == minus.value + plus.value

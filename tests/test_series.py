@@ -436,7 +436,7 @@ def test_planner_is_minimal_at_its_reference_edge():
 
     # Exactly at an accumulation point the tails never shrink: the cap.
     phi = (1 + 5**0.5) / 2
-    for z, tol, tails in [(phi, 1e-10, "(inf, 0.000e+00) > 1.0e-10/2"), (-1 / phi, 1e-8, "(0.000e+00, inf) > 1.0e-08/2")]:
+    for z, tol, tails in [(phi, 1e-10, "(inf, 4.941e-324) > 1.0e-10/2"), (-1 / phi, 1e-8, "(4.941e-324, inf) > 1.0e-08/2")]:
         with pytest.raises(ToleranceUnreachable) as info:
             series._plan_window(series._kernel(FIBONACCI, Variant.STANDARD), complex(z, 0.0), 4, tol)
         assert str(info.value) == f"window cap 10000 hit with side tails {tails}"
@@ -513,6 +513,56 @@ def test_tails_cover_their_exact_envelopes_past_a_subnormal_power():
             assert Fraction(tail) >= 1 / (d2 * 5**2 * (1 - 1 / g**2)), (z, tail)
 
 
+def _summation_errors(spec, z, tol):
+    """J and, per half, (|value - S|, u sum_k |S_k|): S the exact sum of the
+    half's own computed terms, S_k the running totals of their plain sum in
+    the kernel's order."""
+    halves = evaluate_halves(spec, z, tol)
+    J, out = halves[1].j_max, []
+    for rows, half in zip(series._kernel(spec.seq, spec.variant).window(J), halves):
+        terms = [(c1 * z + c0) ** -spec.weight for c1, c0 in filter(None, rows)]
+        re, im = sum(Fraction(t.real) for t in terms), sum(Fraction(t.imag) for t in terms)
+        error = math.hypot(Fraction(half.value.real) - re, Fraction(half.value.imag) - im)
+        total, partial = 0j, 0.0
+        for t in terms:
+            total += t
+            partial += abs(total)
+        out.append((error, 2.0**-53 * partial))
+    return J, out
+
+
+def test_half_sums_stay_within_the_recursive_summation_bound():
+    # Forced zeros (k = 1-5), near-pole and annulus points, and points next
+    # to an accumulation point.  Each half is a plain sum from the far end
+    # inward: every addition rounds by at most u |S_k|, so |value - S| <=
+    # u sum_k |S_k|.  In ascending order that stays near u sum|t| for
+    # geometric terms, but not next to an accumulation point, where many
+    # terms are alike: there the worst here is 3.1 u sum|t|, past the 3u
+    # that symmetry._value_rounding allows for the sum.
+    rng = random.Random(2025)
+    cases = [(SeriesSpec(seq, 2 * k), z, 1e-12)
+             for seq in (FIBONACCI, LUCAS_NUMBERS, SequenceSpec(3, -1), SequenceSpec(-2, -1, Kind.SECOND))
+             for k in range(1, 6) for z in (1j, -1j, seq.a + 1j, seq.a - 1j)]
+    specs = [F4, SeriesSpec(LUCAS_NUMBERS, 6), SeriesSpec(SequenceSpec(3, -1), 2),
+             SeriesSpec(SequenceSpec(-2, -1, Kind.SECOND), 4), SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE), F2]
+    for _ in range(300):
+        spec = rng.choice(specs)
+        cases.append((spec, _corpus_point(rng, spec, (-5, -1)), 10 ** rng.uniform(-13, -6)))
+    for _ in range(40):
+        spec = rng.choice(specs)
+        p = rng.choice(series._accumulation_points(spec.seq))
+        cases.append((spec, p + cmath.rect(10 ** rng.uniform(-5, -3), rng.uniform(-math.pi, math.pi)), 1e-13))
+    wide, sharpest = 0, 0.0
+    for spec, z, tol in cases:
+        J, halves = _summation_errors(spec, z, tol)
+        wide += J >= 32
+        for error, partial in halves:
+            assert error <= partial * (1 + 1e-12), (spec, z, tol)
+            sharpest = max(sharpest, error / partial)
+    # Wide windows occur, and the bound is nearly met.
+    assert wide >= 20 and sharpest > 0.5
+
+
 def test_one_kernel_per_sequence_and_variant():
     # The coefficient rows depend on the sequence and the variant only, so
     # weights 2-12 share one kernel; the footnote variant has its own.
@@ -555,7 +605,7 @@ def test_results_do_not_depend_on_kernel_history():
     assert sum(isinstance(r, list) for r in forward.values()) > 1500
     # And every bit is pinned, so a faster kernel must reproduce them.
     digest = hashlib.sha256(repr([forward[i] for i in range(len(corpus))]).encode()).hexdigest()
-    assert digest == "cc0a7a94a1987e08eb3a59e7ee8fee9c5ad45eb8b6dee8d611c05f81d23e618b"
+    assert digest == "c52eb2dab00b9d76b20ccb6fdec125f906960ac9d765fdb3c93743c54a11c11b"
 
 
 def test_shared_kernel_results_do_not_depend_on_call_order():
@@ -608,7 +658,7 @@ PINNED_BITS = [
      [("-0x1.52dc82f9f4fbbp-2", "0x1.6e7921a23d424p+1", "0x1.9c2bd9e5b9306p-35", -13, 13)]),
     # footnote
     ((evaluate, FIBONACCI, 4, FOOTNOTE, 0.3 + 0.7j, 1e-12, GUARD),
-     [("-0x1.52dc82fa83125p-2", "0x1.6e7921a239f05p+1", "0x1.897d80d9e8c00p-42", -16, 16)]),
+     [("-0x1.52dc82fa83124p-2", "0x1.6e7921a239f05p+1", "0x1.897d80d9e8c00p-42", -16, 16)]),
     ((evaluate_halves, LUCAS_NUMBERS, 6, STANDARD, -1.3 + 0.2j, 1e-13, GUARD),
      [("0x1.081c4d8161c67p-11", "0x1.4d7834c8a3e30p-12", "0x1.f2b7adb1fdc84p-60", -11, 0), ("-0x1.553682d88ba9ap-1", "-0x1.ab59b63d7ef4ap+2", "0x1.3842037297043p-47", 1, 11)]),
     ((evaluate, SequenceSpec(-3, -1, Kind.SECOND), 3, STANDARD, 0.4 - 1.1j, 1e-8, GUARD),
@@ -627,17 +677,17 @@ PINNED_BITS = [
     ((evaluate, FIBONACCI, 4, STANDARD, complex(1.0, 1e-9), 1e-6, 0.0),
      [("0x1.812f9cf7920e2p+119", "0x1.1d6c76b84adf1p-27", "0x1.3dd0b29eeb684p-23", -10, 10)]),
     ((evaluate_halves, FIBONACCI, 3, FOOTNOTE, complex(-0.4, -0.0), 1e-10, 0.0),
-     [("-0x1.9ea1d9e4013c2p+6", "0x0.0p+0", "0x1.05d60c9d6d4fbp-35", -20, 0), ("0x1.75e32b1d6fb08p+0", "0x0.0p+0", "0x1.5eb9280507b4ep-41", 1, 20)]),
+     [("-0x1.9ea1d9e4013c1p+6", "0x0.0p+0", "0x1.05d60c9d6d4fbp-35", -20, 0), ("0x1.75e32b1d6fb08p+0", "0x0.0p+0", "0x1.5eb9280507b4ep-41", 1, 20)]),
     # both halves resummed inverted
     ((evaluate, FIBONACCI, 4, STANDARD, 1e300 + 1e300j, 1e-10, GUARD),
      [("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0000000000002p-1022", -4, 4)]),
     ((evaluate_halves, FIBONACCI, 2, STANDARD, complex(PHI, 2e-6), 1e-13, GUARD),
-     [("0x1.312de0047aa7bp+8", "0x1.93d9b1f1b3d2dp+13", "0x1.bbca7d4b987ddp-46", -61, 0), ("0x1.3c6ef372f9aa2p-1", "-0x1.65e9f80f252d2p-20", "0x1.867f6fe850bd0p-86", 1, 61)]),
+     [("0x1.312de0047b07cp+8", "0x1.93d9b1f1b3d2dp+13", "0x1.bbca7d4b987ddp-46", -61, 0), ("0x1.3c6ef372f9aa2p-1", "-0x1.65e9f80f252d2p-20", "0x1.867f6fe850bd0p-86", 1, 61)]),
     # J = 751: None rows past |j| = 740, the minus half resummed inverted
     ((evaluate_halves, FIBONACCI, 2, STANDARD, complex(PHI, 1e-150), 1e-13, 0.0),
      [("-0x1.09fe404d9d2f7p+944", "0x1.7cbfd5136f5e8p-392", "0x1.5edcb3aa61ab0p-45", -751, 0), ("0x1.3c6ef372fe94fp-1", "-0x1.17544f17fb84dp-499", "0x0.000005dfce9eep-1022", 1, 751)]),
     ((evaluate, FIBONACCI, 2, FOOTNOTE, complex(-1 / PHI, 1e-150), 1e-6, 0.0),
-     [("-0x1.edb81511f0a00p+944", "-0x1.70525436afcefp-390", "0x1.0aaf021c68850p-21", -733, 733)]),
+     [("-0x1.edb81511f0a00p+944", "-0x1.70525436afcf0p-390", "0x1.0aaf021c68850p-21", -733, 733)]),
 ]
 
 

@@ -314,7 +314,7 @@ ZERO_SEQS = [
 
 def _error_bound(seq, weight, z, res):
     """tail_bound + u (m (kappa + 6) + 7) sum|t|: the omitted terms plus the
-    rounding of every kept term and of the compensated sum, with the term
+    rounding of every kept term and 3u sum|t| for the plain sum, with the term
     modulus summed here over the result's window."""
     mass = sum(
         abs((float(seq_value(seq, j)) * z + float(seq_value(seq, j - 1))) ** -weight)
