@@ -16,15 +16,9 @@ its own exact type: an `int` for every n >= 0, and for every n when
 b = +-1; a `Fraction` only for n < 0 when |b| > 1.  Code that wants a ratio
 builds it as `Fraction(p, q)`.
 
-`growth_info` supplies the ratio data behind the series-tail certificates,
-for the recursions `is_certified_spec` names (b = -1, a != 0) and no others:
-there the consecutive ratios r(j) = L(j-1)/L(j) are iterates of the Moebius
-map x -> 1/(a + x), a decreasing contraction, so they alternate around the
-limit 1/root and each consecutive pair brackets every later ratio.  The
-exact interval spanned by the pair r(J), r(J+1) therefore provably contains
-all ratios from index J on.  (For a <= -1 the sequence is the a >= 1 one
-with alternating signs attached, so the mirrored pair has the same
-bracketing property.)
+`growth_info` supplies the dominant root and minus its reciprocal, the
+two accumulation points of the pole ratios, for the recursions
+`is_certified_spec` names (b = -1, a != 0) and no others.
 """
 
 from __future__ import annotations
@@ -98,44 +92,29 @@ def seq_value(spec: SequenceSpec, n: int) -> int | Fraction:
     return value * spec.b**m if abs(spec.b) == 1 else Fraction(value, spec.b**m)
 
 
-class GrowthInfo(namedtuple("GrowthInfo", "dominant_root limit_ratio_neg ratio_lo ratio_hi")):
-    """Dominant-root data plus the exact interval spanned by the ratio pair
-    r(J) = L(J-1)/L(J), r(J+1) = L(J)/L(J+1) of a certified recursion.
-
-    By the bracketing argument in the module docstring the interval contains
-    every ratio r(j) with j >= J; both ends are nonzero with the sign of a.
-    Fields: dominant_root and limit_ratio_neg (floats), ratio_lo and
-    ratio_hi (Fractions).
-    """
+class GrowthInfo(namedtuple("GrowthInfo", "dominant_root limit_ratio_neg")):
+    """The roots of x**2 = a*x + 1 of a certified recursion, as floats: the
+    dominant one and minus its reciprocal."""
 
     __slots__ = ()
 
 
 def is_certified_spec(spec: SequenceSpec) -> bool:
-    """True when certified ratio intervals (and series tails) are available."""
+    """True when certified series tails are available."""
     return spec.b == -1 and spec.a != 0
 
 
 @functools.lru_cache(maxsize=None)
-def growth_info(spec: SequenceSpec, J: int) -> GrowthInfo:
-    """Dominant root and the ratio interval spanned by r(J), r(J+1), J >= 3.
+def growth_info(spec: SequenceSpec) -> GrowthInfo:
+    """The dominant root and minus its reciprocal.
 
     Raises UncertifiedOnly unless `is_certified_spec(spec)` holds; there
     x**2 = a*x + 1 has the real roots (a +- sqrt(a**2 + 4))/2, and the one
     with the sign of a is dominant, of modulus above 1.  Results are cached
     (pure function).
     """
-    if J < 3:
-        raise ValueError("ratio intervals start at J >= 3")
     if not is_certified_spec(spec):
-        raise UncertifiedOnly("ratio intervals are certified in the b = -1, a != 0 regime only")
+        raise UncertifiedOnly("growth data are certified in the b = -1, a != 0 regime only")
     s = math.sqrt(spec.a * spec.a - 4 * spec.b)
     root = (spec.a + s) / 2.0 if spec.a > 0 else (spec.a - s) / 2.0
-    # No L(j), j >= 1, vanishes for these recursions.
-    pair = [Fraction(seq_value(spec, j - 1), seq_value(spec, j)) for j in (J, J + 1)]
-    return GrowthInfo(
-        dominant_root=root,
-        limit_ratio_neg=-1.0 / root,
-        ratio_lo=min(pair),
-        ratio_hi=max(pair),
-    )
+    return GrowthInfo(dominant_root=root, limit_ratio_neg=-1.0 / root)

@@ -16,27 +16,23 @@ reciprocal; both accumulation points are essential singularities and the
 proximity guard treats them like poles.
 
 Truncation certificates.  For b = -1, a != 0 the omitted terms on either
-side of a window admit a clean geometric envelope.  Writing
-r(j) = L(j-1)/L(j), each denominator factors as
+side of a window admit a clean geometric envelope.  Each denominator is
+|c1*z + c0| = |c1| |z - p|, p its pole, and the poles of one side
+alternate around the side's accumulation point as they close in on it
+(`_pole_pairs`).  So past a reference edge E the hull of the side's next
+two poles, its cluster, holds every later pole of the side, and
+|z - p| >= d = dist(z, cluster).  Magnitudes grow at least geometrically,
+|L(j+1)/L(j)| >= g > 1 with g the smaller modulus of the poles E + 1 and
+E + 2 (pole n is L(n)/L(n-1)), whence
 
-    |L(j)*z + L(j-1)| = |L(j)| * |z - (-r(j))|,
+    side tail of window J <= d**(-m) * |L(J + shift)|**(-m) / (1 - g**(-m)).
 
-and for j at or beyond the window edge E the ratios r(j) all lie in the
-exact interval I of `growth_info` (consecutive ratios bracket all later
-ones), so |z - (-r(j))| >= dist(z, -I).  Magnitudes grow at least
-geometrically, |L(j+1)/L(j)| = |a + r(j)| >= g with g = |a| + min|I| > 1,
-whence
-
-    positive tail <= dist(z, -I)**(-m) * |L(E)|**(-m) / (1 - g**(-m)).
-
-The negatively indexed half is the same picture pushed through the sign
-rule L(-n) = +-L(n): its pole at index -n sits at L(n+1)/L(n) = a + r(n),
-inside the exact interval a + I, with the same scale and growth.  The
-swapped variant exchanges the two clusters (its positive-side poles are
-the reciprocals 1/r(j)).  The window is the smallest these envelopes
-certify, read off a table of |L| in closed form (`_plan_window`).  Only
-the distance, the doubles of |L| and a few products and powers round;
-widened cluster ends and a relative 1e-12 off the distance cover them.
+The half over j <= 0 has the poles n = 1 - j >= E + 1, and the half over
+j >= 1 those n <= -E; the swapped variant (pole n = j) exchanges the two
+clusters.  The window is the smallest these envelopes certify, read off a
+table of |L| in closed form (`_plan_window`).  Only the distance, the
+doubles of |L| and a few products and powers round; outward-rounded
+cluster ends and a relative 1e-12 off the distance cover them.
 Other recursions get heuristic tails and results flagged uncertified.
 """
 
@@ -152,8 +148,8 @@ class _Kernel:
       ever grow, so a kept window never goes stale.
     - `mags[n]`: the double of |L(n)|, or the lower bound 2**1023 from
       |L(n)| >= 2**1024 on; nondecreasing from n = 1, grown by `grow`.
-    - `edges[m][E]`: weight m's certified `_tail_params` at edge E + 1,
-      for the reference edges the planner has used.
+    - `edges[m][E]`: weight m's certified `_tail_params` at reference
+      edge E, for the reference edges the planner has used.
     - `guard`: the sequence's `_guard_points`.
     """
 
@@ -299,6 +295,8 @@ def _pole_pairs(seq: SequenceSpec, n_min: int, n_max: int):
     downwards, then n >= 1 the same way.  For a < 0 the sequence is the
     |a| one with signs (-1)**n or -(-1)**n attached, so every pole is
     minus the |a| pole at the same index and the runs go in reverse.
+    The planner's clusters (`_tail_params`) rest on these parity runs: every
+    pole of one side past an index lies between that side's next two.
     Reduction: L(n) = a L(n-1) + L(n-2) gives gcd(L(n), L(n-1)) =
     gcd(L(n-1), L(n-2)), so every pair shares g = gcd(L(1), L(0)).
     """
@@ -345,8 +343,7 @@ def pole_map(seq: SequenceSpec, n_min: int, n_max: int) -> PoleMap:
 def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:
     if not is_certified_spec(seq):
         return ()
-    info = growth_info(seq, 3)
-    return tuple(sorted((info.dominant_root, info.limit_ratio_neg)))
+    return tuple(sorted(growth_info(seq)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,32 +379,31 @@ def _distance(points: tuple[float, ...], z: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _widened(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    """Float endpoints rounded outward so the float interval covers the exact one."""
-    return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
-
-
-def _tail_params(seq: SequenceSpec, variant: Variant, m: int, edge: int) -> tuple[tuple, tuple]:
+def _tail_params(seq: SequenceSpec, variant: Variant, m: int, E: int) -> tuple[tuple, tuple]:
     """z-independent pieces of the certified (neg, pos) side tails of every
-    window J >= edge - 1 (later clusters lie inside, later g are larger):
-    widened cluster ends, gamma = (1 - g**-m) ** (-1/m) for the growth
-    ratio g, and the shift to the index J + shift of the scale |L|.
+    window J >= E: the side's cluster, the hull of its next two poles past E
+    with both ends rounded outward, gamma = (1 - g**-m) ** (-1/m) for the
+    growth ratio g, and the shift to the index J + shift of the scale |L|.
 
-    The ratio interval is taken at edge-1 so it also covers the swapped
-    variant, whose coefficient indices trail by one.  Only certified
-    sequences (b = -1, a != 0) come here, and edge - 1 >= 3, so both
-    bracketing ratios are nonzero with the sign of a and g = |a| + min|I| > 1.
+    The standard minus side has the poles E + 1, E + 2 and its plus side
+    -E, 1 - E; the swapped variant's minus side has -E, 1 - E and its plus
+    side E, E + 1.  g is the smaller modulus of the poles E + 1 and E + 2.
+    Only certified sequences (b = -1, a != 0) come here, with E >= 4, so
+    no pole is 0 and g > 1.  `p / q` rounds correctly, as `float(Fraction)`
+    does.
     """
-    info = growth_info(seq, edge - 1)
-    lo, hi = info.ratio_lo, info.ratio_hi
-    g = float(abs(seq.a) + min(abs(lo), abs(hi)))
-    gamma = math.exp(-math.log1p(-(g**-m)) / m)
 
+    def hull(n: int) -> list[float]:
+        return [p / q for p, q in _pole_pairs(seq, n, n + 1)]
+
+    ahead = hull(E + 1)
+    g = min(abs(ahead[0]), abs(ahead[1]))
+    gamma = math.exp(-math.log1p(-(g**-m)) / m)
     if variant is Variant.STANDARD:
-        sides = (((seq.a + lo, seq.a + hi), 1), ((-hi, -lo), 1))
+        sides = ((ahead, 1), (hull(-E), 1))
     else:
-        sides = (((-hi, -lo), 2), ((1 / hi, 1 / lo), 0))
-    return tuple((*_widened(min(ends), max(ends)), gamma, shift) for ends, shift in sides)
+        sides = ((hull(-E), 2), (hull(E), 0))
+    return tuple((math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), gamma, shift) for (lo, hi), shift in sides)
 
 
 def _heuristic_side_tail(row: tuple, z: complex, m: int, edge: int, sign: int) -> float:
@@ -442,7 +438,7 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
     (J, neg tail, pos tail).
 
     Certified: the smallest J >= E whose side envelopes, with the
-    `_tail_params` of the reference edge E + 1, meet half.  An envelope
+    `_tail_params` of the reference edge E, meet half.  An envelope
     d**-m |L(J + shift)|**-m / (1 - g**-m) does so exactly when
     |L(J + shift)| >= c = s gamma / d, s = half**(-1/m), so J is a
     bisection in `mags`, and the tail reported, half (c / |L|)**m, is the
@@ -460,7 +456,7 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
         edges, mags = kern.edges[m], kern.mags
         E = MIN_WINDOW
         while True:
-            sides = edges.get(E) or edges.setdefault(E, _tail_params(kern.seq, kern.variant, m, E + 1))
+            sides = edges.get(E) or edges.setdefault(E, _tail_params(kern.seq, kern.variant, m, E))
             (neg_lo, neg_hi, neg_gamma, neg_shift), (pos_lo, pos_hi, pos_gamma, pos_shift) = sides
             neg_d = math.hypot(neg_lo - x if x < neg_lo else x - neg_hi if x > neg_hi else 0.0, y) * (1.0 - 1e-12)
             pos_d = math.hypot(pos_lo - x if x < pos_lo else x - pos_hi if x > pos_hi else 0.0, y) * (1.0 - 1e-12)

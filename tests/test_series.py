@@ -359,12 +359,12 @@ def test_tail_bound_monotone_soundness_example():
     assert omitted(F4, Z0, res.j_max, 20) <= res.tail_bound
 
 
-def _log_envelopes(spec, z, edge, J):
+def _log_envelopes(spec, z, E, J):
     """log of each side's certified envelope at window J, with the
-    `_tail_params` of `edge`: -m (log d + log|L(J + shift)| - log gamma),
-    inf when z lies in the side's cluster."""
+    `_tail_params` of reference edge E: -m (log d + log|L(J + shift)| -
+    log gamma), inf when z lies in the side's cluster."""
     m, out = spec.weight, []
-    for lo, hi, gamma, shift in series._tail_params(spec.seq, spec.variant, m, edge):
+    for lo, hi, gamma, shift in series._tail_params(spec.seq, spec.variant, m, E):
         x = z.real
         d = math.hypot(lo - x if x < lo else x - hi if x > hi else 0.0, z.imag) * (1.0 - 1e-12)
         scale = abs(seq_value(spec.seq, J + shift))
@@ -381,13 +381,54 @@ def _reference_window(spec, z, tol):
     log_half, E = math.log(tol / 2), series.MIN_WINDOW
     while E < series.MAX_WINDOW:
         J = E
-        if math.inf not in _log_envelopes(spec, z, E + 1, E):
-            while max(_log_envelopes(spec, z, E + 1, J)) > log_half:
+        if math.inf not in _log_envelopes(spec, z, E, E):
+            while max(_log_envelopes(spec, z, E, J)) > log_half:
                 J += 1
             if J <= 8 * E:
                 return E, J
         E = min(2 * E, series.MAX_WINDOW)
     return None
+
+
+def _pole(seq, n):
+    """The exact pole L(n)/L(n-1)."""
+    return Fraction(seq_value(seq, n), seq_value(seq, n - 1))
+
+
+def test_tail_clusters_are_the_next_two_poles():
+    # Each side's cluster at reference edge E is the exact hull of its next
+    # two poles, rounded outward; it holds the side's poles at the next 200
+    # indices and straddles a root of x**2 = a x + 1 (the side's
+    # accumulation point), with the sign of a past +E and of -a past -E.
+    # gamma is the one built from the exact ratios L(j-1)/L(j), j = E, E + 1.
+    seqs = [SequenceSpec(a, -1, kind) for a in [*range(-6, 0), *range(1, 7)] for kind in Kind]
+    for seq, variant in [(seq, Variant.STANDARD) for seq in seqs] + [(FIBONACCI, Variant.FOOTNOTE)]:
+        a = seq.a
+        for E in (4, 5, 8, 64, 1000, 10000):
+            # Per side (minus, plus): the first of its next two pole indices,
+            # the step to the second and on to later ones, and the shift.
+            if variant is Variant.STANDARD:
+                sides = [(E + 1, 1, 1), (1 - E, -1, 1)]
+            else:
+                sides = [(1 - E, -1, 2), (E, 1, 0)]
+            ratios = [Fraction(seq_value(seq, j - 1), seq_value(seq, j)) for j in (E, E + 1)]
+            g = float(abs(a) + min(abs(r) for r in ratios))
+            params = {m: series._tail_params(seq, variant, m, E) for m in (2, 3, 7, 12)}
+            for k, (first, step, shift) in enumerate(sides):
+                near, far = _pole(seq, first), _pole(seq, first + step)
+                lo, hi = min(near, far), max(near, far)
+                want_lo, want_hi = math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+                for m, sided in params.items():
+                    gamma = math.exp(-math.log1p(-(g**-m)) / m)
+                    assert sided[k] == (want_lo, want_hi, gamma, shift), (seq, variant, E, m, k)
+                assert (lo > 0) == (hi > 0) == ((a > 0) == (first > 0)), (seq, variant, E, k)
+                assert (lo * lo - a * lo - 1) * (hi * hi - a * hi - 1) < 0, (seq, variant, E, k)
+                # Exact, cross-multiplied: reducing each pole costs a gcd.
+                (lo_p, lo_q), (hi_p, hi_q) = want_lo.as_integer_ratio(), want_hi.as_integer_ratio()
+                for n in range(first + 2 * step, first + 202 * step, step):
+                    p, q = seq_value(seq, n), seq_value(seq, n - 1)
+                    p, q = (p, q) if q > 0 else (-p, -q)
+                    assert lo_p * q <= p * lo_q and p * hi_q <= hi_p * q, (seq, variant, E, n)
 
 
 def _corpus_point(rng, spec, near):
@@ -420,9 +461,9 @@ def test_planner_is_minimal_at_its_reference_edge():
         # J meets tol / 2 at E and J - 1 does not: 1e-9 absorbs rounding
         # in a tie.
         assert J == want and max(neg, pos) <= tol / 2, (spec, z, tol)
-        assert max(_log_envelopes(spec, z, E + 1, J)) <= log_half + 1e-9, (spec, z, tol)
-        assert J == E or max(_log_envelopes(spec, z, E + 1, J - 1)) > log_half - 1e-9, (spec, z, tol)
-        for tail, at_E, own in zip((neg, pos), _log_envelopes(spec, z, E + 1, J), _log_envelopes(spec, z, J + 1, J)):
+        assert max(_log_envelopes(spec, z, E, J)) <= log_half + 1e-9, (spec, z, tol)
+        assert J == E or max(_log_envelopes(spec, z, E, J - 1)) > log_half - 1e-9, (spec, z, tol)
+        for tail, at_E, own in zip((neg, pos), _log_envelopes(spec, z, E, J), _log_envelopes(spec, z, J, J)):
             # The tail is E's envelope, which covers the edge's own one.
             assert tail == pytest.approx(math.exp(at_E), rel=1e-9, abs=1e-300), (spec, z, tol)
             assert tail >= math.exp(own) * (1 - 1e-9), (spec, z, tol)
@@ -498,10 +539,10 @@ def test_tails_cover_their_exact_envelopes_past_a_subnormal_power():
     # tol/2 lifts the tail back to the normal range, so the power's own
     # rounding must be rounded up as well.  Fib w2 at J = E = 4: the exact
     # envelope is 1 / (d**2 L(5)**2 (1 - g**-2)), d the distance to the
-    # exact cluster [a + lo, a + hi] (j <= 0) or [-hi, -lo] (j >= 1).
-    info = growth_info(FIBONACCI, 4)
-    lo, hi = info.ratio_lo, info.ratio_hi
-    g = 1 + min(abs(lo), abs(hi))
+    # exact cluster, the hull of the poles 5, 6 (j <= 0) or -4, -3 (j >= 1),
+    # and g the smaller of the poles 5 and 6.
+    neg_hi, g = max(_pole(FIBONACCI, 5), _pole(FIBONACCI, 6)), min(_pole(FIBONACCI, 5), _pole(FIBONACCI, 6))
+    pos_hi = max(_pole(FIBONACCI, -4), _pole(FIBONACCI, -3))
     kern = series._kernel(FIBONACCI, Variant.STANDARD)
     for k in range(20):
         z = complex(1e150 * (1 + k / 7), 1e150)
@@ -509,7 +550,7 @@ def test_tails_cover_their_exact_envelopes_past_a_subnormal_power():
         # The tail is normal, the power tail / 4e16 subnormal.
         assert J == 4 and sys.float_info.min < neg < 4e16 * sys.float_info.min
         x, y = Fraction(z.real), Fraction(z.imag)
-        for tail, d2 in ((neg, (x - 1 - hi) ** 2 + y**2), (pos, (x + lo) ** 2 + y**2)):
+        for tail, d2 in ((neg, (x - neg_hi) ** 2 + y**2), (pos, (x - pos_hi) ** 2 + y**2)):
             assert Fraction(tail) >= 1 / (d2 * 5**2 * (1 - 1 / g**2)), (z, tail)
 
 
@@ -716,9 +757,7 @@ def test_value_types_keep_reprs_and_checks():
         (pole_map(FIBONACCI, -2, 3),
          "PoleMap(poles=(Fraction(-1, 1), Fraction(-1, 2), Fraction(0, 1), Fraction(1, 1), Fraction(2, 1)), "
          "accumulation_points=(-0.6180339887498948, 1.618033988749895))"),
-        (growth_info(FIBONACCI, 3),
-         "GrowthInfo(dominant_root=1.618033988749895, limit_ratio_neg=-0.6180339887498948, "
-         "ratio_lo=Fraction(1, 2), ratio_hi=Fraction(2, 3))"),
+        (growth_info(FIBONACCI), "GrowthInfo(dominant_root=1.618033988749895, limit_ratio_neg=-0.6180339887498948)"),
         (P * S, "IntMat2(p=1, q=1, r=1, s=0)"),
         (InversionS(), "InversionS()"),
         (MirrorPa(1), "MirrorPa(a=1)"),
