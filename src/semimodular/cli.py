@@ -6,9 +6,10 @@ every subcommand raises before its first record, so a run that fails writes
 none.  Identical inputs produce byte-identical output.  Exit codes:
 0 success, 1 failed identity check, 2 pole proximity, 3 tolerance
 unreachable (also a term, automorphy factor or rounding floor past double
-range), 64 usage (a bad option value, or any other package error), 74
-output I/O failure.  Every error writes a one-line message to stderr,
-after the usage text when an option is malformed.
+range, or a sequence parameter too large for double arithmetic), 64
+usage (a bad option value, or any other package error), 74 output I/O
+failure.  Every error writes a one-line message to stderr, after the
+usage text when an option is malformed.
 `matrix --fib-power N` takes 1 <= N <= 20576: larger powers have entries
 too long to print; `poles` exits 64 where a pole's entries are too long to
 print (fib from `--nmax 20578` on).
@@ -242,10 +243,11 @@ def _cmd_poles(args) -> int:
     if not is_certified_spec(seq):
         pairs = list(pairs)
         _check_printable(pairs)
+    # Before the first pole, so a root that overflows writes no record.
+    accumulation = _accumulation_points(seq)
     human, write = args.format == "human", sys.stdout.write
     for num, den in pairs:
         write(_pole_line(num, den, human))
-    accumulation = _accumulation_points(seq)
     _emit(
         args,
         {
@@ -480,11 +482,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SemimodularError, ValueError, OSError) as exc:
+    except (SemimodularError, ValueError, OverflowError, OSError) as exc:
         print(f"semimodular: {exc}", file=sys.stderr)
         if isinstance(exc, PoleProximity):
             return EXIT_POLE
-        if isinstance(exc, ToleranceUnreachable):
+        if isinstance(exc, (ToleranceUnreachable, OverflowError)):
             return EXIT_TOL
         return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 

@@ -23,7 +23,7 @@ alternate around the side's accumulation point as they close in on it
 two poles, its cluster, holds every later pole of the side, and
 |z - p| >= d = dist(z, cluster).  Magnitudes grow at least geometrically,
 |L(j+1)/L(j)| >= g > 1 with g the smaller modulus of the poles E + 1 and
-E + 2 (pole n is L(n)/L(n-1)), whence
+E + 2 (pole n is L(n)/L(n-1), a correctly rounded `int / int`), whence
 
     side tail of window J <= d**(-m) * |L(J + shift)|**(-m) / (1 - g**(-m)).
 
@@ -207,10 +207,11 @@ def _power_error(pairs, z: complex, j0: int, step: int) -> Exception:
 
     An exactly vanishing denominator is a pole; any other failure is a
     term beyond double range (overflow, or an underflowing power that the
-    reciprocal then divides by).
+    reciprocal then divides by).  So is a (0, 0) row: with b != 0 no two
+    consecutive values are 0, so both underflowed.
     """
     for k, pair in enumerate(pairs):
-        if pair is not None and pair[0] * z + pair[1] == 0:
+        if pair is not None and (pair[0] or pair[1]) and pair[0] * z + pair[1] == 0:
             return PoleProximity(f"term {j0 + step * k} denominator vanishes exactly at z = {z}")
     return ToleranceUnreachable(_OVERFLOW)
 
@@ -295,8 +296,7 @@ def _pole_pairs(seq: SequenceSpec, n_min: int, n_max: int):
     downwards, then n >= 1 the same way.  For a < 0 the sequence is the
     |a| one with signs (-1)**n or -(-1)**n attached, so every pole is
     minus the |a| pole at the same index and the runs go in reverse.
-    The planner's clusters (`_tail_params`) rest on these parity runs: every
-    pole of one side past an index lies between that side's next two.
+    So each pole of a side past an index lies between the side's next two.
     Reduction: L(n) = a L(n-1) + L(n-2) gives gcd(L(n), L(n-1)) =
     gcd(L(n-1), L(n-2)), so every pair shares g = gcd(L(1), L(0)).
     """
@@ -389,12 +389,12 @@ def _tail_params(seq: SequenceSpec, variant: Variant, m: int, E: int) -> tuple[t
     -E, 1 - E; the swapped variant's minus side has -E, 1 - E and its plus
     side E, E + 1.  g is the smaller modulus of the poles E + 1 and E + 2.
     Only certified sequences (b = -1, a != 0) come here, with E >= 4, so
-    no pole is 0 and g > 1.  `p / q` rounds correctly, as `float(Fraction)`
-    does.
+    no pole is 0 and g > 1.  Pole n is `L(n) / L(n-1)`, a correctly
+    rounded `int / int`; the parity runs of `_pole_pairs` make hulls sound.
     """
 
     def hull(n: int) -> list[float]:
-        return [p / q for p, q in _pole_pairs(seq, n, n + 1)]
+        return sorted(seq_value(seq, i) / seq_value(seq, i - 1) for i in (n, n + 1))
 
     ahead = hull(E + 1)
     g = min(abs(ahead[0]), abs(ahead[1]))

@@ -179,6 +179,28 @@ def test_check_floor_overflow_is_unreachable(capsys, seq):
     assert len(captured.err.splitlines()) == 1
 
 
+_HUGE_A = f"lucas-first:{10**155}:-1"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # sqrt(a*a + 4) of the dominant root overflows from |a| ~ 1.34e154.
+        ["eval", "--seq", _HUGE_A, "--weight", "4", "--z", "0.3,0.7"],
+        ["check", "--identity", "inversion", "--seq", _HUGE_A, "--samples", "2"],
+        ["poles", "--seq", _HUGE_A, "--nmin", "-2", "--nmax", "2"],
+        # The guard's pole b/a is past double range.
+        ["eval", "--seq", f"lucas-first:3:{10**309}", "--uncertified", "--weight", "4", "--z", "0.3,0.7"],
+    ],
+)
+def test_parameters_past_double_range_are_unreachable(capsys, args):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_check_negative_control(capsys):
     code, out = run_cli(
         capsys,

@@ -33,7 +33,7 @@ from semimodular import (
     seq_value,
 )
 from semimodular import series, symmetry
-from semimodular.cli import render_grid
+from semimodular.cli import main, render_grid
 from oracle import brute_force_oracle, coeffs, omitted, omitted_mass
 
 Z0 = 0.3 + 0.7j
@@ -266,6 +266,22 @@ def test_divergent_exploration_rejected():
     # tolerance is reachable.
     with pytest.raises(ToleranceUnreachable):
         evaluate(SeriesSpec(SequenceSpec(3, 2), 4), Z0, 1e-8)
+
+
+def test_underflowed_row_is_not_a_pole(capsys):
+    # b = 10**100: L(-9) ~ 1e-500 and L(-10) ~ 1e-599 both round to 0, and
+    # two consecutive values of a recursion with b != 0 are never both 0,
+    # so the (0, 0) row is a term past double range, as for b = 2**40; no
+    # pole lies off the real axis.
+    for b in (10**100, 2**40):
+        spec = SeriesSpec(SequenceSpec(3, b), 4)
+        with pytest.raises(ToleranceUnreachable, match="terms overflow double range"):
+            evaluate(spec, Z0)
+        code = main(["eval", "--seq", f"lucas-first:3:{b}", "--uncertified", "--weight", "4", "--z", "0.3,0.7"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "semimodular: terms overflow double range\n"
 
 
 # ---------------------------------------------------------------------------
