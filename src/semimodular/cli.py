@@ -1,15 +1,15 @@
 """Command-line surface: eval, check, poles, matrix, grid.
 
 Every subcommand writes json-lines records (schema field "schema": 1) to
-stdout and diagnostics to stderr.  Each record is written as it is made, and
-every subcommand raises before its first record, so a run that fails writes
-none.  Identical inputs produce byte-identical output.  Exit codes:
-0 success, 1 failed identity check, 2 pole proximity, 3 tolerance
-unreachable (also a term, automorphy factor or rounding floor past double
-range, or a sequence parameter too large for double arithmetic), 64
-usage (a bad option value, or any other package error), 74 output I/O
-failure.  Every error writes a one-line message to stderr, after the
-usage text when an option is malformed.
+stdout and diagnostics to stderr.  Each record is written as it is made (a
+`check` writes all of its records at once), and every subcommand raises
+before its first record, so a run that fails writes none.  Identical inputs
+produce byte-identical output.  Exit codes: 0 success, 1 failed identity
+check, 2 pole proximity, 3 tolerance unreachable (also a term, automorphy
+factor or rounding floor past double range, or a sequence parameter too
+large for double arithmetic), 64 usage (a bad option value, or any other
+package error), 74 output I/O failure.  Every error writes a one-line
+message to stderr, after the usage text when an option is malformed.
 `matrix --fib-power N` takes 1 <= N <= 20576: larger powers have entries
 too long to print; `poles` exits 64 where a pole's entries are too long to
 print (fib from `--nmax 20578` on).
@@ -60,13 +60,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, record: dict, human: str) -> None:
-    """Write one output line; a subcommand calls this once nothing can fail."""
+def _emit(args, record: dict, human: str, lead: str = "") -> None:
+    """Write one output line after the already formatted lines `lead`, in
+    one write; a subcommand calls this once nothing can fail."""
     if args.format == "human":
         line = human
     else:
         line = json.dumps({"schema": SCHEMA, **record}, separators=(",", ":"), allow_nan=False)
-    sys.stdout.write(f"{line}\n")
+    sys.stdout.write(f"{lead}{line}\n")
 
 
 def _seq(text: str) -> SequenceSpec:
@@ -173,9 +174,13 @@ def _cmd_check(args) -> int:
         eval_tol=args.tol,
         force_pairing=force,
     )
-    human, write = args.format == "human", sys.stdout.write
-    for i, (z, r, t) in enumerate(zip(report.sample_points, report.residuals, report.tolerances)):
-        write(_sample_line(i, z, r, t, human))
+    # Every sample line is formatted before the one write, so a record that
+    # cannot be written leaves stdout empty.
+    human = args.format == "human"
+    samples = "".join([
+        _sample_line(i, z, r, t, human)
+        for i, (z, r, t) in enumerate(zip(report.sample_points, report.residuals, report.tolerances))
+    ])
     _emit(
         args,
         {
@@ -188,6 +193,7 @@ def _cmd_check(args) -> int:
         },
         f"{args.identity}: {'PASS' if report.passed else 'FAIL'}  "
         f"max residual {report.max_residual:.3e}  ({args.samples} samples, seed {args.seed})",
+        samples,
     )
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

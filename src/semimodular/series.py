@@ -113,6 +113,13 @@ class SeriesResult(namedtuple("SeriesResult", "value tail_bound j_min j_max cert
 PoleMap = namedtuple("PoleMap", "poles accumulation_points")
 
 
+def _exact_row(seq: SequenceSpec, variant: Variant, j: int) -> tuple:
+    """The exact (c1, c0) of the index-j term denominator c1*z + c0."""
+    if variant is Variant.STANDARD:
+        return seq_value(seq, j), seq_value(seq, j - 1)
+    return -seq_value(seq, j - 1), seq_value(seq, j)
+
+
 def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[complex, complex] | None:
     """Double-rounded (c1, c0) of the index-j term denominator c1*z + c0, as
     complex numbers with zero imaginary parts, or None once either value
@@ -124,10 +131,7 @@ def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[complex,
     not numerator width: b != -1 sequences have negative-index values like
     -(2**n - 1)/2**n whose numerators grow while the value stays O(1).)
     """
-    if variant is Variant.STANDARD:
-        c1, c0 = seq_value(seq, j), seq_value(seq, j - 1)
-    else:
-        c1, c0 = -seq_value(seq, j - 1), seq_value(seq, j)
+    c1, c0 = _exact_row(seq, variant, j)
     if (c1.numerator.bit_length() - c1.denominator.bit_length() > _HUGE_BITS
             or c0.numerator.bit_length() - c0.denominator.bit_length() > _HUGE_BITS):
         return None
@@ -201,23 +205,29 @@ class _Kernel:
 _kernel = functools.lru_cache(maxsize=None)(_Kernel)
 
 
-def _power_error(pairs, z: complex, j0: int, step: int) -> Exception:
-    """The package error for a failed `(c1*z + c0) ** -m` over `pairs`,
-    where pairs[k] belongs to index j0 + step*k.
+def _power_error(kern: _Kernel, pairs, z: complex, j0: int, step: int) -> Exception:
+    """The package error for a failed `(c1*z + c0) ** -m` over `pairs`, rows
+    of `kern`, where pairs[k] belongs to index j0 + step*k.
 
-    An exactly vanishing denominator is a pole; any other failure is a
-    term beyond double range (overflow, or an underflowing power that the
-    reciprocal then divides by).  So is a (0, 0) row: with b != 0 no two
-    consecutive values are 0, so both underflowed.
+    A computed zero denominator is a pole only where the exact one vanishes:
+    z is real and c1 Re z + c0 = 0 in exact arithmetic on the sequence
+    values.  Off the real axis it never does (c1 Im z != 0 unless c1 = 0,
+    and with b != 0 no two consecutive values are 0).  Any other failure is
+    a term beyond double range (overflow, an underflowing power that the
+    reciprocal then divides by, or a coefficient that underflowed to 0).
     """
+    real = not z.imag
     for k, pair in enumerate(pairs):
-        if pair is not None and (pair[0] or pair[1]) and pair[0] * z + pair[1] == 0:
-            return PoleProximity(f"term {j0 + step * k} denominator vanishes exactly at z = {z}")
+        if real and pair is not None and pair[0] * z + pair[1] == 0:
+            j = j0 + step * k
+            c1, c0 = _exact_row(kern.seq, kern.variant, j)
+            if c1 * Fraction(z.real) + c0 == 0:
+                return PoleProximity(f"term {j} denominator vanishes exactly at z = {z}")
     return ToleranceUnreachable(_OVERFLOW)
 
 
-def _half_sum(pairs, z: complex, e: int, j0: int, step: int) -> complex:
-    """Plain sum of (c1*z + c0) ** e over the complex rows `pairs`, in
+def _half_sum(kern: _Kernel, pairs, z: complex, e: int, j0: int, step: int) -> complex:
+    """Plain sum of (c1*z + c0) ** e over the complex rows `pairs` of `kern`, in
     order, where pairs[k] belongs to index j0 + step*k; a None pair is an
     exact zero term and is skipped.
 
@@ -235,10 +245,10 @@ def _half_sum(pairs, z: complex, e: int, j0: int, step: int) -> complex:
             return total
     except (ZeroDivisionError, OverflowError):
         pass
-    return _resum_inverted(pairs, z, e, j0, step)
+    return _resum_inverted(kern, pairs, z, e, j0, step)
 
 
-def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
+def _resum_inverted(kern: _Kernel, pairs, z: complex, e: int, j0: int, step: int) -> complex:
     """A failed half sum of den ** -m, summed again as (1/den) ** m.
 
     CPython powers den ** -m as the reciprocal of den ** m, which overflows
@@ -249,14 +259,14 @@ def _resum_inverted(pairs, z: complex, e: int, j0: int, step: int) -> complex:
     """
     if e > 0:
         raise ToleranceUnreachable(_OVERFLOW)
-    error = _power_error(pairs, z, j0, step)
+    error = _power_error(kern, pairs, z, j0, step)
     if isinstance(error, PoleProximity):
         raise error
     # The row (0, 1/den) at z = 0 gives the base 1/den itself (a zero part
     # may change sign).
     dens = (None if p is None else p[0] * z + p[1] for p in pairs)
     inverted = [(0j, 1 / d) if d is not None and cmath.isfinite(d) else None for d in dens]
-    return _half_sum(inverted, 0j, -e, j0, step)
+    return _half_sum(kern, inverted, 0j, -e, j0, step)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +416,15 @@ def _tail_params(seq: SequenceSpec, variant: Variant, m: int, E: int) -> tuple[t
     return tuple((math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), gamma, shift) for (lo, hi), shift in sides)
 
 
-def _heuristic_side_tail(row: tuple, z: complex, m: int, edge: int, sign: int) -> float:
+def _heuristic_side_tail(kern: _Kernel, row: tuple, z: complex, m: int, edge: int, sign: int) -> float:
     """Geometric extrapolation of the first omitted terms (indices
-    sign*edge, sign*(edge+1), sign*(edge+2) of `row`); no soundness claim."""
+    sign*edge, sign*(edge+1), sign*(edge+2) of `row`, rows of `kern`); no
+    soundness claim."""
     pairs = row[edge:edge + 3]
     try:
         mags = [0.0 if p is None else abs((p[0] * z + p[1]) ** -m) for p in pairs]
     except (ZeroDivisionError, OverflowError):
-        raise _power_error(pairs, z, sign * edge, sign) from None
+        raise _power_error(kern, pairs, z, sign * edge, sign) from None
     if mags[0] == 0.0:
         return 0.0 if max(mags) == 0.0 else math.inf
     q = mags[1] / mags[0]
@@ -484,8 +495,8 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
     J = START_WINDOW
     while True:
         neg_row, pos_row = kern.rows_upto(J + 4)
-        neg = _heuristic_side_tail(neg_row, z, m, J + 1, -1)
-        pos = _heuristic_side_tail(pos_row, z, m, J + 1, 1)
+        neg = _heuristic_side_tail(kern, neg_row, z, m, J + 1, -1)
+        pos = _heuristic_side_tail(kern, pos_row, z, m, J + 1, 1)
         if neg <= half and pos <= half:
             return J, neg, pos
         if J >= MAX_WINDOW:
@@ -523,8 +534,8 @@ def _evaluate(spec: SeriesSpec, z: complex, tol: float, guard_eps: float) -> tup
             raise PoleProximity(f"z = {z} is within {d:.3e} of a pole or accumulation point (guard {guard_eps:.1e})")
     J, neg_tail, pos_tail = _plan_window(kern, z, spec.weight, tol)
     neg, pos = kern.window(J)
-    minus = _half_sum(neg, z, -spec.weight, -J, 1)
-    plus = _half_sum(pos, z, -spec.weight, J, -1)
+    minus = _half_sum(kern, neg, z, -spec.weight, -J, 1)
+    plus = _half_sum(kern, pos, z, -spec.weight, J, -1)
     return J, minus, plus, neg_tail, pos_tail, kern.certified
 
 

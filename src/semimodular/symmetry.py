@@ -13,8 +13,8 @@ to the pole lattice (for the point and its image), and reports per-sample
 residuals.  The module also exposes the half-sum manipulation steps that
 make the identities work for every certified sequence (shift by the
 recursion coefficient, negation, their unilateral versions, whose boundary
-terms and half swaps are the whole story).  Both compare the two sides in
-one way (`_compare`): the tolerance is both evaluations' certified tail
+terms and half swaps are the whole story).  Both allow the same residual
+between the two sides (`_allowance`): both evaluations' certified tail
 bounds, a rounding floor in |z| and a first-order rounding term that scales
 with both values and the automorphy factor.
 """
@@ -46,6 +46,11 @@ REJECT_RADIUS = 0.05
 FLOOR_COEFF = 1e-9
 # Unit roundoff of a double.
 UNIT_ROUNDOFF = 2.0**-53
+# `rng.uniform(a, b)` is `a + (b - a) * rng.random()` (CPython 3.10-3.13);
+# with a = 0 that is `b * rng.random()` bit for bit.
+_SQUARED_MIN = SAMPLE_RADIUS_MIN**2
+_SQUARED_SPAN = SAMPLE_RADIUS_MAX**2 - _SQUARED_MIN
+_TURN = 2.0 * math.pi
 
 
 class InversionS(namedtuple("InversionS", "")):
@@ -112,8 +117,8 @@ def matrix_for(kind: InversionS | MirrorPa) -> IntMat2:
 
 def _sample_annulus(rng: random.Random) -> complex:
     # Area-uniform over the annulus; fully determined by the rng state.
-    r = math.sqrt(rng.uniform(SAMPLE_RADIUS_MIN**2, SAMPLE_RADIUS_MAX**2))
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    r = math.sqrt(_SQUARED_MIN + _SQUARED_SPAN * rng.random())
+    theta = _TURN * rng.random()
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
@@ -145,8 +150,11 @@ def check_identity(
             f"mirror parameter {kind.a} does not match the sequence coefficient a = {spec.seq.a}"
         )
 
-    mat = matrix_for(kind)
+    p, q, r, s = matrix_for(kind)
+    weight = spec.weight
     guard = _guard_points(spec.seq)
+    # Looked up per call, so that a wrapped `evaluate` is the one called.
+    ev = evaluate
     rng = random.Random(seed)
     points: list[complex] = []
     residuals: list[float] = []
@@ -161,18 +169,20 @@ def check_identity(
         if z_distance < REJECT_RADIUS:
             continue
         # No pole: S has denominator z, |z| >= 0.2; mirror matrices have 1.
-        image = mobius_apply(mat, z)
+        den = r * z + s
+        image = (p * z + q) / den
         image_distance = _distance(guard, image)
         if image_distance < REJECT_RADIUS:
             continue
-        factor = _factor(mat.r * z + mat.s, spec.weight)
-        plain, slashed, tolerance = _compare(
-            spec, (z, "full", z_distance), (image, "full", image_distance), factor, z, eval_tol
-        )
-        residual = abs(slashed - plain)
+        factor = _factor(den, weight)
+        # The image first, so a scan reports its error.
+        other = ev(spec, image, eval_tol)
+        plain = ev(spec, z, eval_tol)
+        value, scaled = plain.value, factor * other.value
         points.append(z)
-        residuals.append(residual)
-        tolerances.append(tolerance)
+        residuals.append(abs(scaled - value))
+        tolerances.append(_allowance(z, weight, factor, scaled, z, z_distance, value, plain.tail_bound,
+                                     image, image_distance, other.value, other.tail_bound))
 
     passed = all(r <= t for r, t in zip(residuals, tolerances))
     return ResidualReport(tuple(points), tuple(residuals), tuple(tolerances), passed, seed)
@@ -195,23 +205,6 @@ class StepCheck(namedtuple("StepCheck", "name z lhs rhs tolerance")):
         return self.residual <= self.tolerance
 
 
-def _value_rounding(point: complex, distance: float, value: complex, weight: int) -> float:
-    """First-order rounding allowance of a computed f(point) of this weight,
-    `distance` being `pole_distance` at point.
-
-    Per term the relative error is at most u (m (kappa + 6) + 4), with u the
-    unit roundoff and kappa the conditioning of the term's denominator; the
-    plain sum adds 3u (measured at most 2.73u sum|t| on the benchmark, 4u
-    next to an accumulation point).  Each denominator is c1 (point + r) with
-    -r a guarded pole, and |r| <= |point| + |point + r|, so
-    kappa = (2|point| + |r|)/|point + r| <= 1 + 3|point|/distance.  The term
-    is first-order and takes |value| as the term mass, so cancellation
-    between terms is not covered; ROADMAP item 4 certifies it later.
-    """
-    kappa = 1.0 + 3.0 * abs(point) / distance
-    return UNIT_ROUNDOFF * (weight * (kappa + 6.0) + 4.0) * abs(value) + 3.0 * UNIT_ROUNDOFF * abs(value)
-
-
 def _side(spec: SeriesSpec, point: complex, part: str, tol: float) -> SeriesResult:
     """The "full" sum at point, or its "minus" (j <= 0) or "plus" (j >= 1) half."""
     if part == "full":
@@ -220,34 +213,41 @@ def _side(spec: SeriesSpec, point: complex, part: str, tol: float) -> SeriesResu
     return minus if part == "minus" else plus
 
 
-def _compare(spec: SeriesSpec, left: tuple, right: tuple, factor: complex, z: complex, tol: float) -> tuple:
-    """The one identity comparison: f(p) against factor * f(q).
+def _allowance(z: complex, weight: int, factor: complex, scaled: complex, p: complex, p_distance: float,
+               p_value: complex, p_tail: float, q: complex, q_distance: float, q_value: complex, q_tail: float) -> float:
+    """The one allowed residual between f(p) and scaled = factor * f(q).
 
-    `left` and `right` are (point, `_side` part, pole_distance at point) of
-    p and q; q is evaluated first, so a scan reports its image's error.
-    Returns f(p), factor * f(q) and the allowed residual between them: both
-    certified tails, the rounding floor at z, and four times the first-order
-    rounding of f(p), of f(q) scaled by |factor| and of the product.  A floor
-    or rounding term past double range would pass any residual, so it is
-    ToleranceUnreachable.
+    `p_value` and `q_value` are the computed f(p) and f(q), `p_tail` and
+    `q_tail` their certified tail bounds, and the distances `pole_distance`
+    at p and q.  The allowance is both tails, the rounding floor
+    FLOOR_COEFF (1 + |z|)**weight, and four times the first-order rounding
+    of f(p), of f(q) scaled by |factor| and of the product.
+
+    A computed f(point) of weight m is off by at most u (m (kappa + 6) + 4)
+    per unit of term mass, with u the unit roundoff and kappa the
+    conditioning of a term's denominator; the plain sum adds 3u (measured
+    at most 2.73u sum|t| on the benchmark, 4u next to an accumulation
+    point).  Each denominator is c1 (point + r) with -r a guarded pole, and
+    |r| <= |point| + |point + r|, so kappa = (2|point| + |r|)/|point + r|
+    <= 1 + 3|point|/distance.  The term takes |value| as the term mass, so
+    cancellation between terms is not covered; ROADMAP item 4 certifies it
+    later.  A floor or rounding term past double range would pass any
+    residual, so it is ToleranceUnreachable.
     """
-    (p, p_part, p_distance), (q, q_part, q_distance) = left, right
-    other = _side(spec, q, q_part, tol)
-    plain = _side(spec, p, p_part, tol)
-    scaled = factor * other.value
-    weight = spec.weight
+    size = abs(factor)
     try:
         floor = FLOOR_COEFF * (1.0 + abs(z)) ** weight
     except OverflowError:
         raise ToleranceUnreachable(f"rounding floor (1 + |z|)**{weight} overflows double range at z = {z}") from None
+    u, p_mass, q_mass = UNIT_ROUNDOFF, abs(p_value), abs(q_value)
     rounding = 4.0 * (
-        _value_rounding(p, p_distance, plain.value, weight)
-        + abs(factor) * _value_rounding(q, q_distance, other.value, weight)
-        + 2.0 * UNIT_ROUNDOFF * abs(scaled)
+        u * (weight * (1.0 + 3.0 * abs(p) / p_distance + 6.0) + 4.0) * p_mass + 3.0 * u * p_mass
+        + size * (u * (weight * (1.0 + 3.0 * abs(q) / q_distance + 6.0) + 4.0) * q_mass + 3.0 * u * q_mass)
+        + 2.0 * u * abs(scaled)
     )
     if not math.isfinite(rounding):
         raise ToleranceUnreachable(f"rounding allowance leaves double range at z = {z}")
-    return plain.value, scaled, plain.tail_bound + abs(factor) * other.tail_bound + floor + rounding
+    return p_tail + size * q_tail + floor + rounding
 
 
 # name -> (left point z + a or -z, left part, right part at 1/z, sign of
@@ -285,7 +285,8 @@ def proof_step(
     B = (L(1) + L(0)*z)**(-2k) is the j = 1 term of z**(-2k) f(1/z), the
     one the shift moves across the split: 1 for every first-kind sequence,
     (a + 2z)**(-2k) for the second kind.  Both sides are compared as in
-    `check_identity`, with the floor at z; B's own rounding is not covered.
+    `check_identity` (`_allowance`), with the floor at z; B's own rounding
+    is not covered.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -298,8 +299,12 @@ def proof_step(
     weight = 2 * k
     factor = _factor(z, weight)
     p, q = z + seq.a if move == "shift" else -z, 1 / z
-    lhs, rhs, tolerance = _compare(
-        SeriesSpec(seq, weight), (p, left, pole_distance(seq, p)), (q, right, pole_distance(seq, q)), factor, z, eval_tol
+    spec, p_distance, q_distance = SeriesSpec(seq, weight), pole_distance(seq, p), pole_distance(seq, q)
+    other = _side(spec, q, right, eval_tol)
+    plain = _side(spec, p, left, eval_tol)
+    rhs = factor * other.value
+    tolerance = _allowance(
+        z, weight, factor, rhs, p, p_distance, plain.value, plain.tail_bound, q, q_distance, other.value, other.tail_bound
     )
     boundary = sign * _factor(seq_value(seq, 1) + seq_value(seq, 0) * z, weight) if sign else 0
-    return StepCheck(name, z, lhs, rhs + boundary, tolerance)
+    return StepCheck(name, z, plain.value, rhs + boundary, tolerance)

@@ -210,6 +210,25 @@ def test_check_negative_control(capsys):
     assert records(out)[-1]["pass"] is False
 
 
+def test_check_that_fails_mid_scan_writes_nothing(monkeypatch, capsys):
+    # A non-finite fifth record cannot be written as json: the run exits 64
+    # before any sample line reaches stdout.
+    scan = cli.check_identity
+
+    def fifth_nan(*args, **kwargs):
+        report = scan(*args, **kwargs)
+        residuals = list(report.residuals)
+        residuals[4] = math.nan
+        return report._replace(residuals=tuple(residuals))
+
+    monkeypatch.setattr(cli, "check_identity", fifth_nan)
+    code = main(["check", "--identity", "inversion", "--seq", "fib", "--k", "2", "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == "semimodular: Out of range float values are not JSON compliant\n"
+
+
 # sha256 of stdout, generated when each half became a plain sum (every
 # sample keeps its pass/fail; only residuals moved, in their last bits).
 # The ids name the runs, so a re-pin keeps the test names.

@@ -284,6 +284,36 @@ def test_underflowed_row_is_not_a_pole(capsys):
         assert captured.err == "semimodular: terms overflow double range\n"
 
 
+@pytest.mark.parametrize(
+    "b, z, guard",
+    [(10**54, "0.01,0.01", []), (10**54, "0.5,0", []), (10**50, "0,1e-100", ["--guard-eps", "0"])],
+    ids=["b1e54-off-axis", "b1e54-real", "b1e50-unguarded"],
+)
+def test_one_underflowed_coefficient_is_not_a_pole(capsys, b, z, guard):
+    # The row of term -10 (b = 10**54) or -11 (b = 10**50) is (-5e-324, 0):
+    # c1*z underflows to a computed 0, but the exact denominator vanishes
+    # nowhere off the real axis, nor at 0.5, so the term is past double range.
+    code = main(["eval", "--seq", f"lucas-first:1:{b}", "--uncertified", "--weight", "4", "--z", z, *guard])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "semimodular: terms overflow double range\n"
+
+
+@pytest.mark.parametrize(
+    "args, term",
+    [(["--z", "1,0"], "term -1 denominator vanishes exactly at z = (1+0j)"),
+     (["--variant", "footnote", "--z", "0,0"], "term 0 denominator vanishes exactly at z = 0j")],
+    ids=["fib-at-1", "footnote-at-0"],
+)
+def test_exactly_vanishing_denominator_is_a_pole(capsys, args, term):
+    code = main(["eval", "--seq", "fib", "--weight", "4", *args, "--guard-eps", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"semimodular: {term}\n"
+
+
 # ---------------------------------------------------------------------------
 # Pole maps
 # ---------------------------------------------------------------------------
@@ -595,7 +625,7 @@ def test_half_sums_stay_within_the_recursive_summation_bound():
     # u sum_k |S_k|.  In ascending order that stays near u sum|t| for
     # geometric terms, but not next to an accumulation point, where many
     # terms are alike: there the worst here is 3.1 u sum|t|, past the 3u
-    # that symmetry._value_rounding allows for the sum.
+    # that symmetry._allowance allows for the sum.
     rng = random.Random(2025)
     cases = [(SeriesSpec(seq, 2 * k), z, 1e-12)
              for seq in (FIBONACCI, LUCAS_NUMBERS, SequenceSpec(3, -1), SequenceSpec(-2, -1, Kind.SECOND))

@@ -170,9 +170,32 @@ def test_infinite_rounding_allowance_is_unreachable():
     # An overflowing factor * f(q) makes the residual infinite; an infinite
     # allowance would pass it.
     z = 0.3 + 0.7j
-    side = (z, "full", pole_distance(FIBONACCI, z))
+    res, d = evaluate(F4, z, 1e-10), pole_distance(FIBONACCI, z)
+    side = (z, d, res.value, res.tail_bound)
     with pytest.raises(ToleranceUnreachable, match="rounding allowance"):
-        symmetry._compare(F4, side, side, 1e308, z, 1e-10)
+        symmetry._allowance(z, 4, 1e308, 1e308 * res.value, *side, *side)
+
+
+@pytest.mark.parametrize("seq", [FIBONACCI, SequenceSpec(3, -1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scan_tolerance_is_the_shared_allowance(seq, k):
+    # Each sample's residual and tolerance, rebuilt from independent
+    # evaluations, Moebius images and automorphy factors.
+    spec = SeriesSpec(seq, 2 * k)
+    for kind, seed in ((InversionS(), 40 + k), (MirrorPa(seq.a), 50 + k)):
+        mat = symmetry.matrix_for(kind)
+        rep = check_identity(spec, kind, n_samples=30, seed=seed, eval_tol=1e-12)
+        for z, residual, tolerance in zip(rep.sample_points, rep.residuals, rep.tolerances):
+            image = mobius_apply(mat, z)
+            factor = symmetry._factor(mat.r * z + mat.s, 2 * k)
+            plain, other = evaluate(spec, z, 1e-12), evaluate(spec, image, 1e-12)
+            scaled = factor * other.value
+            assert residual == abs(scaled - plain.value)
+            assert tolerance == symmetry._allowance(
+                z, 2 * k, factor, scaled,
+                z, pole_distance(seq, z), plain.value, plain.tail_bound,
+                image, pole_distance(seq, image), other.value, other.tail_bound,
+            )
 
 
 def test_negative_control_fails_loudly():
