@@ -207,10 +207,10 @@ def _sample_line(i: int, z: complex, r: float, t: float, human: bool) -> str:
             f"sample {i:3d}  z = {x:+.4f}{y:+.4f}i  residual {r:.3e}  "
             f"tolerance {t:.3e}  {'ok' if r <= t else 'FAIL'}\n"
         )
-    # A sum of finite values is finite or overflows to inf; json.dumps
-    # raises its own ValueError at the first value that is not finite.
-    if not math.isfinite(x + y + r + t):
-        json.dumps((x, y, r, t), allow_nan=False)
+    # A sum of finite values is finite or overflows to inf.  The message is
+    # ours: json.dumps words its own differently across CPython versions.
+    if not math.isfinite(x + y + r + t) and not all(map(math.isfinite, (x, y, r, t))):
+        raise ValueError("a check record has a value that is not finite, which JSON cannot write")
     return (
         f'{{"schema":{SCHEMA},"type":"sample","index":{i},"z_re":{x!r},"z_im":{y!r},'
         f'"residual":{r!r},"tolerance":{t!r},"ok":{"true" if r <= t else "false"}}}\n'

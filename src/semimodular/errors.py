@@ -18,7 +18,7 @@ class ToleranceUnreachable(SemimodularError):
 
 
 class UncertifiedOnly(SemimodularError):
-    """Caller required certified bounds but the recursion only supports heuristics."""
+    """Caller required a certified recursion (b = -1, a != 0), and this is another."""
 
 
 class MobiusPole(SemimodularError):

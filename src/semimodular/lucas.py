@@ -16,9 +16,11 @@ its own exact type: an `int` for every n >= 0, and for every n when
 b = +-1; a `Fraction` only for n < 0 when |b| > 1.  Code that wants a ratio
 builds it as `Fraction(p, q)`.
 
-`growth_info` supplies the dominant root and minus its reciprocal, the
-two accumulation points of the pole ratios, for the recursions
-`is_certified_spec` names (b = -1, a != 0) and no others.
+`is_geometric_spec` decides, once and exactly, for which recursions both
+halves of the series decay geometrically; `growth_info` supplies the
+dominant root and minus its reciprocal, the two accumulation points of the
+pole ratios, for the recursions `is_certified_spec` names (b = -1, a != 0)
+and no others.
 """
 
 from __future__ import annotations
@@ -92,6 +94,15 @@ def seq_value(spec: SequenceSpec, n: int) -> int | Fraction:
     return value * spec.b**m if abs(spec.b) == 1 else Fraction(value, spec.b**m)
 
 
+def forward(spec: SequenceSpec):
+    """L(0), L(1), L(2), ... by the recursion, kept out of the memo table:
+    for long runs read once, in order."""
+    x, y = (0, 1) if spec.kind is Kind.FIRST else (2, spec.a)
+    while True:
+        yield x
+        x, y = y, spec.a * y - spec.b * x
+
+
 class GrowthInfo(namedtuple("GrowthInfo", "dominant_root limit_ratio_neg")):
     """The roots of x**2 = a*x + 1 of a certified recursion, as floats: the
     dominant one and minus its reciprocal."""
@@ -102,6 +113,22 @@ class GrowthInfo(namedtuple("GrowthInfo", "dominant_root limit_ratio_neg")):
 def is_certified_spec(spec: SequenceSpec) -> bool:
     """True when certified series tails are available."""
     return spec.b == -1 and spec.a != 0
+
+
+def is_geometric_spec(spec: SequenceSpec) -> bool:
+    """True when x**2 = a*x - b has real roots with |r2| < 1 < |r1|, that is
+    when (1 + b - a)(1 + b + a) < 0.
+
+    The product is p(1) p(-1) for p(x) = x**2 - a*x + b.  It is negative
+    exactly when p changes sign between -1 and 1, so that one root lies in
+    (-1, 1) and the other, p being a monic quadratic, outside [-1, 1].  Then
+    |L(n)| grows like |r1|**n and |L(-n)| = |L(n)| / |b|**n like
+    |r2|**(-n), so both halves of the series decay geometrically.  Every
+    certified recursion is one (the product is -a**2 < 0 for b = -1,
+    a != 0).  The double root a = +-2, b = 1 is not: its first kind
+    converges, but only polynomially.
+    """
+    return (1 + spec.b - spec.a) * (1 + spec.b + spec.a) < 0
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Bilateral series over Lucas-sequence denominators, with certified tails.
+"""Bilateral series over Lucas-sequence denominators, with sound tails.
 
 The standard series of weight m built on a sequence L is
 
@@ -9,31 +9,31 @@ A swapped variant, sum of (F(j) - F(j-1)*z) ** (-m), is wired up for the
 Fibonacci numbers only; as a full bilateral sum it contains exactly the
 same terms re-indexed (j -> 1 - j), but its windows truncate differently.
 
-Poles.  The term at index j vanishes at z = -L(j-1)/L(j), which by the
-negative-index sign rule equals L(n)/L(n-1) with n = 1 - j.  For b = -1
-these pole ratios accumulate at the dominant root and at minus its
-reciprocal; both accumulation points are essential singularities and the
-proximity guard treats them like poles.
+Poles.  Write r(n) = L(n)/L(n-1).  The term at index j vanishes at
+z = -L(j-1)/L(j): by the negative-index sign rule that is -r(n)/b with
+n = 1 - j for j <= 0, and -1/r(j) for j >= 1.  (`pole_map` lists the
+ratios r(n) themselves, which for b = -1 are the poles.)  As r(n) tends to
+the dominant root r1, the poles accumulate at -r1/b and -1/r1; for b = -1
+these are essential singularities, and the proximity guard treats them
+like poles.
 
-Truncation certificates.  For b = -1, a != 0 the omitted terms on either
-side of a window admit a clean geometric envelope.  Each denominator is
-|c1*z + c0| = |c1| |z - p|, p its pole, and the poles of one side
-alternate around the side's accumulation point as they close in on it
-(`_pole_pairs`).  So past a reference edge E the hull of the side's next
-two poles, its cluster, holds every later pole of the side, and
-|z - p| >= d = dist(z, cluster).  Magnitudes grow at least geometrically,
-|L(j+1)/L(j)| >= g > 1 with g the smaller modulus of the poles E + 1 and
-E + 2 (pole n is L(n)/L(n-1), a correctly rounded `int / int`), whence
+Truncation tails.  Only a recursion whose roots split the unit circle,
+|r2| < 1 < |r1| (`lucas.is_geometric_spec`), gets a kernel; any other spec
+is refused with ToleranceUnreachable.  Each denominator is
+|c1*z + c0| = |c1| |z - p|, p its pole.  Past a reference edge E a hull of
+the next ratios holds every later r(k) (`_tail_params`), so each side has
+a cluster holding all its later poles, |z - p| >= d = dist(z, cluster),
+and a growth ratio g > 1 of its scale |c1|: |L(n)| for j >= 1 and
+|L(-n)| = |L(n)| / |b|**n for j <= 0.  Whence
 
-    side tail of window J <= d**(-m) * |L(J + shift)|**(-m) / (1 - g**(-m)).
+    side tail of window J <= d**(-m) * scale(J + shift)**(-m) / (1 - g**(-m)).
 
-The half over j <= 0 has the poles n = 1 - j >= E + 1, and the half over
-j >= 1 those n <= -E; the swapped variant (pole n = j) exchanges the two
-clusters.  The window is the smallest these envelopes certify, read off a
-table of |L| in closed form (`_plan_window`).  Only the distance, the
-doubles of |L| and a few products and powers round; outward-rounded
-cluster ends and a relative 1e-12 off the distance cover them.
-Other recursions get heuristic tails and results flagged uncertified.
+The window is the smallest these envelopes certify, read off the tables
+of both scales in closed form (`_plan_window`).  Only the distance, the
+doubles of the scales and a few products and powers round; outward-rounded
+cluster ends and a relative 1e-12 off the distance cover them.  The tails
+are sound for every such spec; `certified` marks b = -1, a != 0 only
+(`is_certified_spec`), the recursions the identity checks accept.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ from .lucas import (
     FIBONACCI,
     Kind,
     SequenceSpec,
+    forward,
     growth_info,
     is_certified_spec,
+    is_geometric_spec,
     seq_value,
 )
 
@@ -61,7 +63,6 @@ GUARD_EPS = 1e-6
 # Poles with |n| beyond this sit within ~1e-26 of an accumulation point, so
 # the accumulation-point check subsumes them.
 GUARD_DEPTH = 64
-START_WINDOW = 8
 MIN_WINDOW = 4
 MAX_WINDOW = 10_000
 # Windows up to this J keep their rows in summing order (`_Kernel.window`).
@@ -69,6 +70,10 @@ STORED_WINDOW = 64
 MIN_TOL = 1e-13
 
 _OVERFLOW = "terms overflow double range"
+_NOT_GEOMETRIC = (
+    "no tail bound for this sequence: the roots of x**2 = a*x - b must satisfy"
+    " |r2| < 1 < |r1|, that is (1 + b - a)(1 + b + a) < 0"
+)
 _TINY = sys.float_info.min
 
 # Coefficients wider than this cannot influence any supported tolerance;
@@ -120,29 +125,54 @@ def _exact_row(seq: SequenceSpec, variant: Variant, j: int) -> tuple:
     return -seq_value(seq, j - 1), seq_value(seq, j)
 
 
-def _coeffs_float(seq: SequenceSpec, variant: Variant, j: int) -> tuple[complex, complex] | None:
-    """Double-rounded (c1, c0) of the index-j term denominator c1*z + c0, as
-    complex numbers with zero imaginary parts, or None once either value
-    outgrows doubles.
+def _coeffs_float(c1: int, d1: int, c0: int, d0: int) -> tuple[complex, complex] | None:
+    """The doubles of c1/d1 and c0/d0 (ints, each rounded once), the
+    coefficients of a term denominator c1*z + c0, as complex numbers with
+    zero imaginary parts, or None once either value outgrows doubles.
 
     A coefficient of magnitude beyond 2**_HUGE_BITS forces the term
     denominator past 2**_HUGE_BITS times the guard radius, so the term
     underflows double precision anyway.  (The gate is on value magnitude,
-    not numerator width: b != -1 sequences have negative-index values like
+    not numerator width: |b| > 1 sequences have negative-index values like
     -(2**n - 1)/2**n whose numerators grow while the value stays O(1).)
     """
-    c1, c0 = _exact_row(seq, variant, j)
-    if (c1.numerator.bit_length() - c1.denominator.bit_length() > _HUGE_BITS
-            or c0.numerator.bit_length() - c0.denominator.bit_length() > _HUGE_BITS):
+    if c1.bit_length() - d1.bit_length() > _HUGE_BITS or c0.bit_length() - d0.bit_length() > _HUGE_BITS:
         return None
-    return complex(c1), complex(c0)
+    return complex(c1 / d1), complex(c0 / d0)
+
+
+def _rows(seq: SequenceSpec, variant: Variant):
+    """The `_coeffs_float` rows of the indices -k and k, k = 0, 1, ...
+
+    The values come from one forward run of the recursion, not from its
+    memo table, which a slowly growing |L(-n)| would fill far.  A negative
+    index is L(-n) = sign L(n) / b**n: `int / int` rounds it once, to the
+    double of its `Fraction`, without a gcd per index.
+    """
+    sign, b = (-1 if seq.kind is Kind.FIRST else 1), seq.b
+
+    def row(c1: int, d1: int, c0: int, d0: int) -> tuple[complex, complex] | None:
+        """The row of the standard (c1/d1, c0/d0) = (L(j), L(j-1)) in `variant`."""
+        if variant is Variant.FOOTNOTE:
+            c1, d1, c0, d0 = -c0, d0, c1, d1
+        return _coeffs_float(c1, d1, c0, d0)
+
+    values = forward(seq)
+    prev, cur, nxt, power = None, next(values), next(values), 1
+    while True:
+        # L(k-1), L(k), L(k+1) and b**k; index 0 is in both halves.
+        below = row(sign * cur, power, sign * nxt, power * b)
+        yield below, below if prev is None else row(cur, 1, prev, 1)
+        prev, cur, nxt, power = cur, nxt, next(values), power * b
 
 
 class _Kernel:
     """Evaluation state of one (sequence, variant), shared by its weights.
+    Only a sequence with `is_geometric_spec` has one; any other is refused
+    here, with ToleranceUnreachable.
 
     - `neg[k]` and `pos[k]`: the `_coeffs_float` rows of indices -k and k
-      (equal lengths, only ever grown).
+      (equal lengths, only ever grown from `rows`, a `_rows` run).
       The rows are complex because CPython (3.10-3.13) turns a float
       operand of complex `*` and `+` into complex(x, 0.0) first: storing
       that conversion gives `c1*z + c0` the same bits, once per row instead
@@ -150,56 +180,65 @@ class _Kernel:
     - `windows[J]`: `window(J)`, kept for J <= STORED_WINDOW only (a few
       thousand references), however many windows are planned; rows only
       ever grow, so a kept window never goes stale.
-    - `mags[n]`: the double of |L(n)|, or the lower bound 2**1023 from
-      |L(n)| >= 2**1024 on; nondecreasing from n = 1, grown by `grow`.
-    - `edges[m][E]`: weight m's certified `_tail_params` at reference
-      edge E, for the reference edges the planner has used.
+    - `mags[n]` and `nmags[n]`: the doubles of |L(n)| and of
+      |L(-n)| = |L(n)| / |b|**n (the list `mags` itself when |b| = 1), or
+      the lower bound 2**1023 from 2**1023 (|b| > 1) or 2**1024 (|b| = 1)
+      on; both nondecreasing from n = 2, grown together by `grow` from
+      `values`, a forward run, with `power` = |b|**len(mags).
+    - `edges[m][E]`: weight m's `_tail_params` at reference edge E, for the
+      reference edges the planner has used.
     - `guard`: the sequence's `_guard_points`.
     """
 
-    __slots__ = ("seq", "variant", "certified", "neg", "pos", "windows", "mags", "edges", "guard")
+    __slots__ = ("seq", "variant", "certified", "neg", "pos", "rows", "windows", "mags", "nmags", "values", "power",
+                 "edges", "guard")
 
     def __init__(self, seq: SequenceSpec, variant: Variant) -> None:
+        if not is_geometric_spec(seq):
+            raise ToleranceUnreachable(_NOT_GEOMETRIC)
         self.seq = seq
         self.variant = variant
         self.certified = is_certified_spec(seq)
         self.neg: list[tuple[complex, complex] | None] = []
         self.pos: list[tuple[complex, complex] | None] = []
+        self.rows = _rows(seq, variant)
         self.windows: dict[int, tuple[list, list]] = {}
         self.mags: list[float] = []
+        self.nmags = self.mags if abs(seq.b) == 1 else []
+        self.values = forward(seq)
+        self.power = 1
         self.edges: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
         self.guard = _guard_points(seq)
-
-    def rows_upto(self, n: int) -> tuple[list, list]:
-        """Coefficient rows covering every |j| < n."""
-        seq, variant, neg, pos = self.seq, self.variant, self.neg, self.pos
-        while len(neg) < n:
-            k = len(neg)
-            # Both entries first, so a raise cannot leave the rows uneven.
-            below, above = _coeffs_float(seq, variant, -k), _coeffs_float(seq, variant, k)
-            neg.append(below)
-            pos.append(above)
-        return neg, pos
 
     def window(self, J: int) -> tuple[list, list]:
         """The rows of indices -J..0 and J..1, each from its far end inward."""
         rows = self.windows.get(J)
         if rows is None:
-            neg, pos = self.rows_upto(J + 1)
+            neg, pos = self.neg, self.pos
+            while len(neg) <= J:
+                below, above = next(self.rows)
+                neg.append(below)
+                pos.append(above)
             rows = neg[J::-1], pos[J:0:-1]
             if J <= STORED_WINDOW:
                 self.windows[J] = rows
         return rows
 
-    def grow(self, neg_c: float, pos_c: float, n: int) -> bool:
-        """Grow `mags` to n entries or more and the larger c to three from its
-        end (the footnote sides' indices differ by 2); False for a c >= 2**1023."""
-        c = max(neg_c, pos_c)
-        mags = self.mags
-        while c < 2.0**1023 and (len(mags) < n or mags[-3] < c):
-            value = abs(seq_value(self.seq, len(mags)))
+    def grow(self, neg_c: float, pos_c: float, E: int) -> bool:
+        """Grow `nmags` and `mags` to E + 3 entries or more, and on while
+        neg_c or pos_c is above its table's entry three from the end (the
+        footnote sides' indices differ by 2), to 8E + 3 entries at most,
+        past which J > 8E; False for a c >= 2**1023."""
+        if neg_c >= 2.0**1023 or pos_c >= 2.0**1023:
+            return False
+        mags, nmags, b = self.mags, self.nmags, abs(self.seq.b)
+        while len(mags) < 8 * E + 3 and (len(mags) < E + 3 or nmags[-3] < neg_c or mags[-3] < pos_c):
+            value = abs(next(self.values))
+            if nmags is not mags:
+                nmags.append(2.0**1023 if value >= self.power << 1023 else value / self.power)
+                self.power *= b
             mags.append(float(value) if value.bit_length() < 1024 else 2.0**1023)
-        return c < 2.0**1023
+        return True
 
 
 _kernel = functools.lru_cache(maxsize=None)(_Kernel)
@@ -255,16 +294,19 @@ def _resum_inverted(kern: _Kernel, pairs, z: complex, e: int, j0: int, step: int
     at a huge z although the term underflows.  Only a failed sum comes here,
     so a sum that succeeds the first way keeps its bits.  A non-finite den
     is a zero term (|c0| <= 2**_HUGE_BITS, so |den| > 1e308 and the term is
-    below 1e-616).  A failure of the resummed half (e > 0) is final.
+    below 1e-616).  A denominator that computes to 0 ends it: an exact pole
+    raises PoleProximity, any other such 0 is a term past double range.  A
+    failure of the resummed half (e > 0) is final.
     """
     if e > 0:
         raise ToleranceUnreachable(_OVERFLOW)
     error = _power_error(kern, pairs, z, j0, step)
-    if isinstance(error, PoleProximity):
+    dens = [None if p is None else p[0] * z + p[1] for p in pairs]
+    # A computed 0 that is no pole (`_power_error`) has no reciprocal either.
+    if isinstance(error, PoleProximity) or 0 in dens:
         raise error
     # The row (0, 1/den) at z = 0 gives the base 1/den itself (a zero part
     # may change sign).
-    dens = (None if p is None else p[0] * z + p[1] for p in pairs)
     inverted = [(0j, 1 / d) if d is not None and cmath.isfinite(d) else None for d in dens]
     return _half_sum(kern, inverted, 0j, -e, j0, step)
 
@@ -272,14 +314,6 @@ def _resum_inverted(kern: _Kernel, pairs, z: complex, e: int, j0: int, step: int
 # ---------------------------------------------------------------------------
 # Pole map and proximity guard
 # ---------------------------------------------------------------------------
-
-
-def _pole_ratios(seq: SequenceSpec, n_min: int, n_max: int):
-    """The exact ratios L(n)/L(n-1), n_min <= n <= n_max, with L(n-1) != 0."""
-    for n in range(n_min, n_max + 1):
-        denom = seq_value(seq, n - 1)
-        if denom != 0:
-            yield Fraction(seq_value(seq, n), denom)
 
 
 def _pole_pairs(seq: SequenceSpec, n_min: int, n_max: int):
@@ -314,7 +348,8 @@ def _pole_pairs(seq: SequenceSpec, n_min: int, n_max: int):
         # The end indices first: one past the index cap fails before any pole.
         seq_value(seq, n_min - 1), seq_value(seq, n_max)
     if not is_certified_spec(seq):
-        for p in sorted(set(_pole_ratios(seq, n_min, n_max))):
+        pairs = ((seq_value(seq, n), seq_value(seq, n - 1)) for n in range(n_min, n_max + 1))
+        for p in sorted({Fraction(num, den) for num, den in pairs if den != 0}):
             yield p.numerator, p.denominator
         return
     g = math.gcd(seq_value(seq, 1), seq_value(seq, 0))
@@ -358,8 +393,12 @@ def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _guard_points(seq: SequenceSpec) -> tuple[float, ...]:
-    """Sorted doubles (repeats kept) of the guarded poles and accumulation points."""
-    poles = [float(p) for p in _pole_ratios(seq, -GUARD_DEPTH, GUARD_DEPTH)]
+    """Sorted doubles (repeats kept) of the guarded poles -c0/c1 of the terms
+    j with |j - 1| <= GUARD_DEPTH and c1 != 0 (for b = -1 the ratios of
+    `pole_map` over |n| <= GUARD_DEPTH, n = 1 - j) and of the accumulation
+    points."""
+    rows = ((seq_value(seq, j), seq_value(seq, j - 1)) for j in range(1 - GUARD_DEPTH, 2 + GUARD_DEPTH))
+    poles = [float(Fraction(-c0, c1)) for c1, c0 in rows if c1 != 0]
     return tuple(sorted(poles + list(_accumulation_points(seq))))
 
 
@@ -390,49 +429,45 @@ def _distance(points: tuple[float, ...], z: complex) -> float:
 
 
 def _tail_params(seq: SequenceSpec, variant: Variant, m: int, E: int) -> tuple[tuple, tuple]:
-    """z-independent pieces of the certified (neg, pos) side tails of every
-    window J >= E: the side's cluster, the hull of its next two poles past E
-    with both ends rounded outward, gamma = (1 - g**-m) ** (-1/m) for the
-    growth ratio g, and the shift to the index J + shift of the scale |L|.
+    """z-independent pieces of the (neg, pos) side tails of every window
+    J >= E: the side's cluster, a hull of all its poles past E with both
+    ends rounded outward, gamma = (1 - g**-m) ** (-1/m) for the side's
+    growth ratio g, and the shift to the index J + shift of its scale.
 
-    The standard minus side has the poles E + 1, E + 2 and its plus side
-    -E, 1 - E; the swapped variant's minus side has -E, 1 - E and its plus
-    side E, E + 1.  g is the smaller modulus of the poles E + 1 and E + 2.
-    Only certified sequences (b = -1, a != 0) come here, with E >= 4, so
-    no pole is 0 and g > 1.  Pole n is `L(n) / L(n-1)`, a correctly
-    rounded `int / int`; the parity runs of `_pole_pairs` make hulls sound.
+    With r(k) = L(k)/L(k-1), the half j <= 0 has the poles -r(n)/b,
+    n = 1 - j, and its scale |L(-n)| grows by |r(n)/b|; the half j >= 1 has
+    the poles -1/r(j), and its scale |L(j)| grows by |r(j+1)|.  A hull H of
+    every r(k), k >= E + 1, thus gives the standard minus side the cluster
+    -H/b and g = min |H/b|, and the plus side g = min |H|; its cluster is
+    -1/H' for a hull H' of every r(k), k >= E.  The hulls:
+    - b < 0: r(k+1) = a - b/r(k) falls as r(k) rises, so the ratios
+      alternate around the dominant root as they close in on it (proved
+      for b = -1 in `_pole_pairs`): r(k), r(k+1) hold every later one.
+    - b > 0: r(k+1) rises with r(k), so the first kind's ratios (from
+      r(2) = a) fall to the root and the second kind's (from r(1) = a/2)
+      rise to it: r(k) of the two kinds hold every later one of either.
+    The swapped variant (pole n = j) exchanges the two clusters.  Each
+    pole is a correctly rounded `int / int`.  With E >= 4 no ratio is 0
+    and g > 1 exactly; a g that rounds to 1 gives gamma = inf, no bound.
     """
+    b = seq.b
+    kinds = [(seq, 0), (seq, 1)] if b < 0 else [(SequenceSpec(seq.a, b, kind), 0) for kind in Kind]
 
-    def hull(n: int) -> list[float]:
-        return sorted(seq_value(seq, i) / seq_value(seq, i - 1) for i in (n, n + 1))
+    def ends(k: int) -> list[tuple[int, int]]:
+        """(L(i), L(i-1)) of the two ratios whose hull holds every r(i'), i' >= k."""
+        return [(seq_value(s, k + i), seq_value(s, k + i - 1)) for s, i in kinds]
 
-    ahead = hull(E + 1)
-    g = min(abs(ahead[0]), abs(ahead[1]))
-    gamma = math.exp(-math.log1p(-(g**-m)) / m)
+    ahead, at = ends(E + 1), ends(E)
+    minus = sorted(-p / (b * q) for p, q in ahead)
+    plus = sorted(-q / p for p, q in at)
+    neg_gamma, pos_gamma = (math.exp(-math.log1p(-(g**-m)) / m) if g > 1.0 else math.inf
+                            for g in (min(abs(minus[0]), abs(minus[1])), min(abs(p / q) for p, q in ahead)))
     if variant is Variant.STANDARD:
-        sides = ((ahead, 1), (hull(-E), 1))
+        sides = ((minus, neg_gamma, 1), (plus, pos_gamma, 1))
     else:
-        sides = ((hull(-E), 2), (hull(E), 0))
-    return tuple((math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), gamma, shift) for (lo, hi), shift in sides)
-
-
-def _heuristic_side_tail(kern: _Kernel, row: tuple, z: complex, m: int, edge: int, sign: int) -> float:
-    """Geometric extrapolation of the first omitted terms (indices
-    sign*edge, sign*(edge+1), sign*(edge+2) of `row`, rows of `kern`); no
-    soundness claim."""
-    pairs = row[edge:edge + 3]
-    try:
-        mags = [0.0 if p is None else abs((p[0] * z + p[1]) ** -m) for p in pairs]
-    except (ZeroDivisionError, OverflowError):
-        raise _power_error(kern, pairs, z, sign * edge, sign) from None
-    if mags[0] == 0.0:
-        return 0.0 if max(mags) == 0.0 else math.inf
-    q = mags[1] / mags[0]
-    if mags[1] > 0.0:
-        q = max(q, mags[2] / mags[1])
-    if q >= 0.75:
-        return math.inf
-    return mags[0] / (1.0 - q)
+        sides = ((plus, pos_gamma, 2), (sorted(-p / (b * q) for p, q in at), neg_gamma, 0))
+    return tuple((math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), gamma, shift)
+                 for (lo, hi), gamma, shift in sides)
 
 
 def _up(x: float) -> float:
@@ -445,66 +480,55 @@ def _window_cap(neg: float, pos: float, tol: float) -> ToleranceUnreachable:
 
 
 def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, float, float]:
-    """The window J whose side tails both meet half = tol / 2, as
+    """The smallest window J >= E whose side envelopes, with the
+    `_tail_params` of the reference edge E, both meet half = tol / 2, as
     (J, neg tail, pos tail).
 
-    Certified: the smallest J >= E whose side envelopes, with the
-    `_tail_params` of the reference edge E, meet half.  An envelope
-    d**-m |L(J + shift)|**-m / (1 - g**-m) does so exactly when
-    |L(J + shift)| >= c = s gamma / d, s = half**(-1/m), so J is a
-    bisection in `mags`, and the tail reported, half (c / |L|)**m, is the
-    envelope.  Rounding in s, gamma, c and the power stays far below the
-    relative 1e-12 taken off d, save below the normal range, where `_up`
-    rounds the power and the tail up.  E starts at MIN_WINDOW and doubles
-    while z is in a cluster of E (d <= 0, or c >= 2**1023) or J > 8E (z
-    hugging a cluster).  Exploration: the first window of the ladder
-    J = START_WINDOW, 2*START_WINDOW, ... with heuristic tails.
+    An envelope d**-m scale(J + shift)**-m / (1 - g**-m) does so exactly
+    when scale(J + shift) >= c = s gamma / d, s = half**(-1/m), so J is a
+    bisection in `nmags` (minus side) or `mags` (plus side), and the tail
+    reported, half (c / scale)**m, is the envelope.  Rounding in s, gamma, c
+    and the power stays far below the relative 1e-12 taken off d, save
+    below the normal range, where `_up` rounds the power and the tail up.
+    E starts at MIN_WINDOW and doubles while z is in a cluster of E
+    (d <= 0, or c >= 2**1023) or J > 8E (z hugging a cluster, or a scale
+    growing slowly), up to MAX_WINDOW.  There, for |b| = 1, every scale is
+    past 1e2000; for |b| > 1 the plan is made as at any other E, and a
+    failed one is the window-cap error.
     """
     half = tol / 2
-    if kern.certified:
-        s = half ** (-1 / m)
-        x, y = z.real, z.imag
-        edges, mags = kern.edges[m], kern.mags
-        E = MIN_WINDOW
-        while True:
-            sides = edges.get(E) or edges.setdefault(E, _tail_params(kern.seq, kern.variant, m, E))
-            (neg_lo, neg_hi, neg_gamma, neg_shift), (pos_lo, pos_hi, pos_gamma, pos_shift) = sides
-            neg_d = math.hypot(neg_lo - x if x < neg_lo else x - neg_hi if x > neg_hi else 0.0, y) * (1.0 - 1e-12)
-            pos_d = math.hypot(pos_lo - x if x < pos_lo else x - pos_hi if x > pos_hi else 0.0, y) * (1.0 - 1e-12)
-            if E >= MAX_WINDOW:
-                # |L(E + shift)| > 1e2000: an envelope with d > 0 is below the least double, so rounds up to it.
-                neg, pos = _up(0.0) if neg_d > 0.0 else math.inf, _up(0.0) if pos_d > 0.0 else math.inf
-                if neg <= half and pos <= half:
-                    return E, neg, pos
-                raise _window_cap(neg, pos, tol)
-            J = E
-            if neg_d > 0.0 and pos_d > 0.0:
-                neg_c, pos_c = s * neg_gamma / neg_d, s * pos_gamma / pos_d
-                if (len(mags) >= E + 3 and mags[-3] >= neg_c and mags[-3] >= pos_c) or kern.grow(neg_c, pos_c, E + 3):
-                    J = bisect.bisect_left(mags, neg_c, E + neg_shift) - neg_shift
-                    K = bisect.bisect_left(mags, pos_c, E + pos_shift) - pos_shift
-                    if K > J:
-                        J = K
-                    if J <= 8 * E:
-                        neg_p, pos_p = (neg_c / mags[J + neg_shift]) ** m, (pos_c / mags[J + pos_shift]) ** m
-                        neg, pos = half * neg_p, half * pos_p
-                        if neg_p < _TINY or pos_p < _TINY or neg < _TINY or pos < _TINY:
-                            neg, pos = _up(half * _up(neg_p)), _up(half * _up(pos_p))
-                        return J, neg, pos
-            E = min(2 * E, MAX_WINDOW)
-    J = START_WINDOW
+    s = half ** (-1 / m)
+    x, y = z.real, z.imag
+    edges, mags, nmags = kern.edges[m], kern.mags, kern.nmags
+    E = MIN_WINDOW
     while True:
-        neg_row, pos_row = kern.rows_upto(J + 4)
-        neg = _heuristic_side_tail(kern, neg_row, z, m, J + 1, -1)
-        pos = _heuristic_side_tail(kern, pos_row, z, m, J + 1, 1)
-        if neg <= half and pos <= half:
-            return J, neg, pos
-        if J >= MAX_WINDOW:
+        sides = edges.get(E) or edges.setdefault(E, _tail_params(kern.seq, kern.variant, m, E))
+        (neg_lo, neg_hi, neg_gamma, neg_shift), (pos_lo, pos_hi, pos_gamma, pos_shift) = sides
+        neg_d = math.hypot(neg_lo - x if x < neg_lo else x - neg_hi if x > neg_hi else 0.0, y) * (1.0 - 1e-12)
+        pos_d = math.hypot(pos_lo - x if x < pos_lo else x - pos_hi if x > pos_hi else 0.0, y) * (1.0 - 1e-12)
+        if E >= MAX_WINDOW and nmags is mags:
+            # |L(E + shift)| > 1e2000: an envelope with d > 0 is below the least double, so rounds up to it.
+            neg, pos = _up(0.0) if neg_d > 0.0 else math.inf, _up(0.0) if pos_d > 0.0 else math.inf
+            if neg <= half and pos <= half:
+                return E, neg, pos
             raise _window_cap(neg, pos, tol)
-        if J >= 256 and math.isinf(neg + pos):
-            # Divergent exploration series: terms are not shrinking.
-            raise ToleranceUnreachable("omitted terms are not decaying; series looks divergent here")
-        J = min(J * 2, MAX_WINDOW)
+        if neg_d > 0.0 and pos_d > 0.0:
+            neg_c, pos_c = s * neg_gamma / neg_d, s * pos_gamma / pos_d
+            if (len(mags) >= E + 3 and nmags[-3] >= neg_c and mags[-3] >= pos_c) or kern.grow(neg_c, pos_c, E):
+                J = bisect.bisect_left(nmags, neg_c, E + neg_shift) - neg_shift
+                K = bisect.bisect_left(mags, pos_c, E + pos_shift) - pos_shift
+                if K > J:
+                    J = K
+                if J <= 8 * E:
+                    neg_p, pos_p = (neg_c / nmags[J + neg_shift]) ** m, (pos_c / mags[J + pos_shift]) ** m
+                    neg, pos = half * neg_p, half * pos_p
+                    if neg_p < _TINY or pos_p < _TINY or neg < _TINY or pos < _TINY:
+                        neg, pos = _up(half * _up(neg_p)), _up(half * _up(pos_p))
+                    return J, neg, pos
+        if E >= MAX_WINDOW:
+            raise ToleranceUnreachable(
+                f"window cap {MAX_WINDOW} hit: no window up to J = {8 * E} has side tails <= {tol:.1e}/2")
+        E = min(2 * E, MAX_WINDOW)
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,16 @@ def omitted(spec: SeriesSpec, z: complex, J: int, extra: int, sides=(-1, 1)) -> 
 
 
 def omitted_mass(spec: SeriesSpec, z: complex, J: int, extra: int, side: int) -> float:
-    """The total modulus of the terms side*k, J < k <= J + extra, for a
-    sequence with integer values (b = +-1), summed in exact integers.
+    """The total modulus of the terms side*k, J < k <= J + extra, summed in
+    exact integers.
 
-    With z = (X + iY)/q, q a power of two, a term's modulus is
-    (q**2 / N) ** (m/2), N = (c1 X + c0 q)**2 + (c1 Y)**2 an integer.  Each
-    modulus is correctly rounded (an odd m takes sqrt(N) from below, to 80
-    bits, so the modulus is rounded up at most 2**-80 relative), and the
-    doubles are summed exactly by `math.fsum`.
+    With z = (X + iY)/q, q a power of two, and the coefficients written
+    over one denominator D (1 for b = +-1), a term's modulus is
+    (q**2 D**2 / N) ** (m/2), N = (c1 X + c0 q)**2 + (c1 Y)**2 an integer
+    for the numerators c1, c0.  Each modulus is correctly rounded (an odd m
+    takes sqrt(N) from below, to 80 bits, so the modulus is rounded up at
+    most 2**-80 relative), and the doubles are summed exactly by
+    `math.fsum`.
     """
     m = spec.weight
     (px, qx), (py, qy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
@@ -112,13 +114,13 @@ def omitted_mass(spec: SeriesSpec, z: complex, J: int, extra: int, side: int) ->
     moduli = []
     for k in range(J + 1, J + extra + 1):
         c1, c0 = coeffs(spec, side * k)
-        assert c1.denominator == c0.denominator == 1
-        c1, c0 = c1.numerator, c0.numerator
+        D = math.lcm(c1.denominator, c0.denominator)
+        c1, c0 = c1.numerator * (D // c1.denominator), c0.numerator * (D // c0.denominator)
         N = (c1 * X + c0 * q) ** 2 + (c1 * Y) ** 2
         if N == 0:
             raise PoleProximity(f"term {side * k} denominator vanishes exactly at z = {z}")
         if m % 2 == 0:
-            moduli.append(q**m / N ** (m // 2))
+            moduli.append((q * D) ** m / N ** (m // 2))
         else:
-            moduli.append((q**m << 80) / (N ** (m // 2) * math.isqrt(N << 160)))
+            moduli.append(((q * D) ** m << 80) / (N ** (m // 2) * math.isqrt(N << 160)))
     return math.fsum(moduli)

@@ -132,7 +132,7 @@ KERNEL_SPECS = [
     tol=st.sampled_from([1e-13, 1e-10, 1e-6]),
 )
 # The Fibonacci guard points lie in [-1, 2], with 0 next to -1/2 and to 1;
-# those of lucas-first:3:1 in [0, 3].
+# those of lucas-first:3:1, the true poles -L(j-1)/L(j), in [-3, 0].
 @example(spec=SeriesSpec(FIBONACCI, 4), re=-3.0, im=0.5, tol=1e-10)  # left of every point
 @example(spec=SeriesSpec(SequenceSpec(3, 1), 4), re=3.5, im=-0.25, tol=1e-10)  # right of every point
 @example(spec=SeriesSpec(FIBONACCI, 3), re=1.0, im=0.0, tol=1e-10)  # on a pole
@@ -140,10 +140,13 @@ KERNEL_SPECS = [
 @example(spec=SeriesSpec(FIBONACCI, 4, Variant.FOOTNOTE), re=-0.25, im=0.0, tol=1e-6)  # from -1/2 and 0
 def test_kernel_matches_scalar_reference(spec, re, im, tol):
     # The evaluation kernel must reproduce the scalar term-by-term path bit
-    # for bit, and the bisect guard the brute-force distance over all points.
+    # for bit, and the bisect guard the brute-force distance over all points:
+    # the poles -c0/c1 of the standard terms |j - 1| <= 64 (for b = -1 the
+    # pole map's ratios) and the accumulation points.
     z = complex(re, im)
-    pm = pole_map(spec.seq, -64, 64)
-    points = [complex(p) for p in pm.poles] + [complex(a) for a in pm.accumulation_points]
+    rows = [coeffs(SeriesSpec(spec.seq, 2), j) for j in range(-63, 66)]
+    points = [complex(-c0 / c1) for c1, c0 in rows if c1 != 0]
+    points += [complex(a) for a in pole_map(spec.seq, 1, 1).accumulation_points]
     assert pole_distance(spec.seq, z) == min(abs(z - p) for p in points)
     try:
         minus, plus = evaluate_halves(spec, z, tol)
