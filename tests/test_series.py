@@ -262,6 +262,13 @@ def test_uncertified_exploration():
     assert abs(res.value - oracle) <= max(res.tail_bound, 1e-8) + 1e-10
 
 
+def test_divergent_exploration_rejected():
+    # (3, 2): negatively indexed terms tend to a nonzero constant, so no
+    # tolerance is reachable; the spec is refused before any term is summed.
+    with pytest.raises(ToleranceUnreachable, match="no tail bound"):
+        evaluate(SeriesSpec(SequenceSpec(3, 2), 4), Z0, 1e-8)
+
+
 def test_criterion_matches_the_roots():
     # (1 + b - a)(1 + b + a) < 0 exactly when x**2 = a x - b has real roots
     # with |r2| < 1 < |r1|, checked against the roots in mpmath.
@@ -301,7 +308,7 @@ def test_refusal_names_the_criterion(capsys, seq):
     assert (code, captured.out, captured.err) == (3, "", f"semimodular: {message}\n")
 
 
-def test_rows_that_underflow_to_zero_belong_to_refused_specs(capsys):
+def test_underflowed_row_is_not_a_pole(capsys):
     # b = 10**100: L(-9) ~ 1e-500 and L(-10) ~ 1e-599 both round to 0, a
     # (0, 0) row past double range; so for b = 2**40.  No recursion with
     # sound tails has such a row: |L(-n)| >= |L(-1)| = 1/|b| (first kind)
@@ -313,6 +320,25 @@ def test_rows_that_underflow_to_zero_belong_to_refused_specs(capsys):
         code = main(["eval", "--seq", f"lucas-first:3:{b}", "--uncertified", "--weight", "4", "--z", "0.3,0.7"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and captured.err.startswith("semimodular: no tail bound")
+
+
+@pytest.mark.parametrize(
+    "b, z, guard",
+    [(10**54, "0.01,0.01", []), (10**54, "0.5,0", []), (10**50, "0,1e-100", ["--guard-eps", "0"])],
+    ids=["b1e54-off-axis", "b1e54-real", "b1e50-unguarded"],
+)
+def test_one_underflowed_coefficient_is_not_a_pole(capsys, b, z, guard):
+    # The row of term -10 (b = 10**54) or -11 (b = 10**50) is (-5e-324, 0),
+    # but lucas-first:1:b has no sound tails, so it is refused before any
+    # row is read, at every z.  A row that small needs |b| near 1e323, which
+    # no convergent recursion in double range has; the convergent inputs
+    # that reach the same computed-zero branch are tested below.
+    code = main(["eval", "--seq", f"lucas-first:1:{b}", "--uncertified", "--weight", "4", "--z", z, *guard])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("semimodular: no tail bound for this sequence: the roots of x**2 = a*x - b must satisfy"
+                            " |r2| < 1 < |r1|, that is (1 + b - a)(1 + b + a) < 0\n")
 
 
 @pytest.mark.parametrize(
