@@ -42,6 +42,7 @@ import bisect
 import cmath
 import enum
 import functools
+import itertools
 import math
 import sys
 from collections import defaultdict, namedtuple
@@ -118,13 +119,6 @@ class SeriesResult(namedtuple("SeriesResult", "value tail_bound j_min j_max cert
 PoleMap = namedtuple("PoleMap", "poles accumulation_points")
 
 
-def _exact_row(seq: SequenceSpec, variant: Variant, j: int) -> tuple:
-    """The exact (c1, c0) of the index-j term denominator c1*z + c0."""
-    if variant is Variant.STANDARD:
-        return seq_value(seq, j), seq_value(seq, j - 1)
-    return -seq_value(seq, j - 1), seq_value(seq, j)
-
-
 def _coeffs_float(c1: int, d1: int, c0: int, d0: int) -> tuple[complex, complex] | None:
     """The doubles of c1/d1 and c0/d0 (ints, each rounded once), the
     coefficients of a term denominator c1*z + c0, as complex numbers with
@@ -141,15 +135,18 @@ def _coeffs_float(c1: int, d1: int, c0: int, d0: int) -> tuple[complex, complex]
     return complex(c1 / d1), complex(c0 / d0)
 
 
-def _rows(seq: SequenceSpec, variant: Variant):
-    """The `_coeffs_float` rows of the indices -k and k, k = 0, 1, ...
+def _scan(seq: SequenceSpec, variant: Variant):
+    """Per index k = 0, 1, ...: the `_Kernel` entries `mags[k]`, `nmags[k]`,
+    `neg[k]` and `pos[k]`, all from one forward run of the recursion.
 
-    The values come from one forward run of the recursion, not from its
-    memo table, which a slowly growing |L(-n)| would fill far.  A negative
-    index is L(-n) = sign L(n) / b**n: `int / int` rounds it once, to the
-    double of its `Fraction`, without a gcd per index.
+    The run is not the memo table, which a slowly growing |L(-n)| would
+    fill far.  A negative index is L(-n) = sign L(n) / b**n: `int / int`
+    rounds it once, to the double of its `Fraction`, without a gcd per
+    index.
     """
-    sign, b = (-1 if seq.kind is Kind.FIRST else 1), seq.b
+    b = abs(seq.b)
+    # b**n = flip**n |b|**n: over the power of |b| the sign of L(-n) flips per index for b < 0.
+    sign, flip = (-1 if seq.kind is Kind.FIRST else 1), (1 if seq.b > 0 else -1)
 
     def row(c1: int, d1: int, c0: int, d0: int) -> tuple[complex, complex] | None:
         """The row of the standard (c1/d1, c0/d0) = (L(j), L(j-1)) in `variant`."""
@@ -160,10 +157,13 @@ def _rows(seq: SequenceSpec, variant: Variant):
     values = forward(seq)
     prev, cur, nxt, power = None, next(values), next(values), 1
     while True:
-        # L(k-1), L(k), L(k+1) and b**k; index 0 is in both halves.
-        below = row(sign * cur, power, sign * nxt, power * b)
-        yield below, below if prev is None else row(cur, 1, prev, 1)
-        prev, cur, nxt, power = cur, nxt, next(values), power * b
+        # L(k-1), L(k), L(k+1) and |b|**k; index 0 is in both halves.
+        mag = abs(cur)
+        fmag = float(mag) if mag.bit_length() < 1024 else 2.0**1023
+        below = row(sign * cur, power, sign * flip * nxt, power * b)
+        yield (fmag, fmag if b == 1 else 2.0**1023 if mag >= power << 1023 else mag / power,
+               below, below if prev is None else row(cur, 1, prev, 1))
+        prev, cur, nxt, power, sign = cur, nxt, next(values), power * b, sign * flip
 
 
 class _Kernel:
@@ -171,27 +171,26 @@ class _Kernel:
     Only a sequence with `is_geometric_spec` has one; any other is refused
     here, with ToleranceUnreachable.
 
-    - `neg[k]` and `pos[k]`: the `_coeffs_float` rows of indices -k and k
-      (equal lengths, only ever grown from `rows`, a `_rows` run).
+    - `mags[n]` and `nmags[n]`: the doubles of |L(n)| and of
+      |L(-n)| = |L(n)| / |b|**n (the list `mags` itself when |b| = 1), or
+      the lower bound 2**1023 from 2**1023 (|b| > 1) or 2**1024 (|b| = 1)
+      on; both nondecreasing from n = 2.
+    - `neg[k]` and `pos[k]`: the `_coeffs_float` rows of indices -k and k.
       The rows are complex because CPython (3.10-3.13) turns a float
       operand of complex `*` and `+` into complex(x, 0.0) first: storing
       that conversion gives `c1*z + c0` the same bits, once per row instead
       of twice per term.
+    - `scan`: the `_scan` run that `grow` extends all four lists from, so
+      they always have equal lengths.
     - `windows[J]`: `window(J)`, kept for J <= STORED_WINDOW only (a few
       thousand references), however many windows are planned; rows only
       ever grow, so a kept window never goes stale.
-    - `mags[n]` and `nmags[n]`: the doubles of |L(n)| and of
-      |L(-n)| = |L(n)| / |b|**n (the list `mags` itself when |b| = 1), or
-      the lower bound 2**1023 from 2**1023 (|b| > 1) or 2**1024 (|b| = 1)
-      on; both nondecreasing from n = 2, grown together by `grow` from
-      `values`, a forward run, with `power` = |b|**len(mags).
     - `edges[m][E]`: weight m's `_tail_params` at reference edge E, for the
       reference edges the planner has used.
     - `guard`: the sequence's `_guard_points`.
     """
 
-    __slots__ = ("seq", "variant", "certified", "neg", "pos", "rows", "windows", "mags", "nmags", "values", "power",
-                 "edges", "guard")
+    __slots__ = ("seq", "variant", "certified", "mags", "nmags", "neg", "pos", "scan", "windows", "edges", "guard")
 
     def __init__(self, seq: SequenceSpec, variant: Variant) -> None:
         if not is_geometric_spec(seq):
@@ -199,14 +198,12 @@ class _Kernel:
         self.seq = seq
         self.variant = variant
         self.certified = is_certified_spec(seq)
-        self.neg: list[tuple[complex, complex] | None] = []
-        self.pos: list[tuple[complex, complex] | None] = []
-        self.rows = _rows(seq, variant)
-        self.windows: dict[int, tuple[list, list]] = {}
         self.mags: list[float] = []
         self.nmags = self.mags if abs(seq.b) == 1 else []
-        self.values = forward(seq)
-        self.power = 1
+        self.neg: list[tuple[complex, complex] | None] = []
+        self.pos: list[tuple[complex, complex] | None] = []
+        self.scan = _scan(seq, variant)
+        self.windows: dict[int, tuple[list, list]] = {}
         self.edges: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
         self.guard = _guard_points(seq)
 
@@ -214,31 +211,24 @@ class _Kernel:
         """The rows of indices -J..0 and J..1, each from its far end inward."""
         rows = self.windows.get(J)
         if rows is None:
-            neg, pos = self.neg, self.pos
-            while len(neg) <= J:
-                below, above = next(self.rows)
-                neg.append(below)
-                pos.append(above)
-            rows = neg[J::-1], pos[J:0:-1]
+            self.grow(J + 1)
+            rows = self.neg[J::-1], self.pos[J:0:-1]
             if J <= STORED_WINDOW:
                 self.windows[J] = rows
         return rows
 
-    def grow(self, neg_c: float, pos_c: float, E: int) -> bool:
-        """Grow `nmags` and `mags` to E + 3 entries or more, and on while
-        neg_c or pos_c is above its table's entry three from the end (the
-        footnote sides' indices differ by 2), to 8E + 3 entries at most,
-        past which J > 8E; False for a c >= 2**1023."""
-        if neg_c >= 2.0**1023 or pos_c >= 2.0**1023:
-            return False
-        mags, nmags, b = self.mags, self.nmags, abs(self.seq.b)
-        while len(mags) < 8 * E + 3 and (len(mags) < E + 3 or nmags[-3] < neg_c or mags[-3] < pos_c):
-            value = abs(next(self.values))
+    def grow(self, least: int, most: int = 0, neg_c: float = 0.0, pos_c: float = 0.0) -> None:
+        """Grow the tables to `least` entries, and on, to `most` at most,
+        while `nmags` or `mags` three from the end (the footnote sides'
+        indices differ by 2) is below neg_c or pos_c."""
+        mags, nmags, neg, pos = self.mags, self.nmags, self.neg, self.pos
+        while len(mags) < least or (len(mags) < most and (nmags[-3] < neg_c or mags[-3] < pos_c)):
+            mag, nmag, below, above = next(self.scan)
+            mags.append(mag)
             if nmags is not mags:
-                nmags.append(2.0**1023 if value >= self.power << 1023 else value / self.power)
-                self.power *= b
-            mags.append(float(value) if value.bit_length() < 1024 else 2.0**1023)
-        return True
+                nmags.append(nmag)
+            neg.append(below)
+            pos.append(above)
 
 
 _kernel = functools.lru_cache(maxsize=None)(_Kernel)
@@ -258,9 +248,10 @@ def _power_error(kern: _Kernel, pairs, z: complex, j0: int, step: int) -> Except
     real = not z.imag
     for k, pair in enumerate(pairs):
         if real and pair is not None and pair[0] * z + pair[1] == 0:
-            j = j0 + step * k
-            c1, c0 = _exact_row(kern.seq, kern.variant, j)
-            if c1 * Fraction(z.real) + c0 == 0:
+            j, x = j0 + step * k, Fraction(z.real)
+            # The exact (c1, c0) are (L(j), L(j-1)), or (-L(j-1), L(j)) swapped.
+            p, q = seq_value(kern.seq, j), seq_value(kern.seq, j - 1)
+            if (p * x + q if kern.variant is Variant.STANDARD else p - q * x) == 0:
                 return PoleProximity(f"term {j} denominator vanishes exactly at z = {z}")
     return ToleranceUnreachable(_OVERFLOW)
 
@@ -386,9 +377,7 @@ def pole_map(seq: SequenceSpec, n_min: int, n_max: int) -> PoleMap:
 
 
 def _accumulation_points(seq: SequenceSpec) -> tuple[float, ...]:
-    if not is_certified_spec(seq):
-        return ()
-    return tuple(sorted(growth_info(seq)))
+    return tuple(sorted(growth_info(seq))) if is_certified_spec(seq) else ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -451,13 +440,13 @@ def _tail_params(seq: SequenceSpec, variant: Variant, m: int, E: int) -> tuple[t
     and g > 1 exactly; a g that rounds to 1 gives gamma = inf, no bound.
     """
     b = seq.b
-    kinds = [(seq, 0), (seq, 1)] if b < 0 else [(SequenceSpec(seq.a, b, kind), 0) for kind in Kind]
-
-    def ends(k: int) -> list[tuple[int, int]]:
-        """(L(i), L(i-1)) of the two ratios whose hull holds every r(i'), i' >= k."""
-        return [(seq_value(s, k + i), seq_value(s, k + i - 1)) for s, i in kinds]
-
-    ahead, at = ends(E + 1), ends(E)
+    # L(E-1), ..., L(E+2) from a forward run of their own, not the memo table.
+    v = list(itertools.islice(forward(seq), E - 1, E + 3))
+    # The second ratio of each hull: for b < 0 the next one, w(k) = L(k+1);
+    # for b > 0 the other kind's, w(k) = 2 L(k+1) - a L(k), which is V(k)
+    # from U and (a*a - 4b) U(k) from V.
+    w = v[1:] if b < 0 else [2 * y - seq.a * x for x, y in zip(v, v[1:])]
+    ahead, at = [(v[2], v[1]), (w[2], w[1])], [(v[1], v[0]), (w[1], w[0])]
     minus = sorted(-p / (b * q) for p, q in ahead)
     plus = sorted(-q / p for p, q in at)
     neg_gamma, pos_gamma = (math.exp(-math.log1p(-(g**-m)) / m) if g > 1.0 else math.inf
@@ -475,8 +464,30 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf) if x < _TINY else x
 
 
-def _window_cap(neg: float, pos: float, tol: float) -> ToleranceUnreachable:
-    return ToleranceUnreachable(f"window cap {MAX_WINDOW} hit with side tails ({neg:.3e}, {pos:.3e}) > {tol:.1e}/2")
+def _no_window(tol: float) -> ToleranceUnreachable:
+    return ToleranceUnreachable(f"no window up to J = {8 * MAX_WINDOW} has side tails <= {tol:.1e}/2")
+
+
+def _out_of_reach(scale: float, lo: float, hi: float, z: complex, s: float, E: int) -> bool:
+    """Whether no reference edge from E on plans the minus side of a
+    |b| > 1 sequence, whose cluster at E is [lo, hi] and whose scale at
+    index E is `scale`, the double of |L(-E)|.
+
+    Every later growth ratio |r(n)/b|, n > E, is |p| for a pole p in the
+    cluster, so at most G = max(|lo|, |hi|).  A G of at most 1 + 2**-52 is
+    the outward rounding of a largest ratio that rounds to 1: every later
+    g rounds to 1 too, and gamma is inf.  Otherwise every later edge's
+    c = s gamma / d is at least s / far, far the distance from z to the
+    cluster's farther end (gamma >= 1, and a later cluster shares its far
+    poles with this one), and the scale at J + 1 is at most
+    scale * G**(J + 1 - E); the windows stop at J = 8 MAX_WINDOW.  A
+    relative 1e-9 covers the rounding of the logarithms, and `_up` a
+    subnormal or zero `scale`.
+    """
+    G = max(abs(lo), abs(hi))
+    reach = s / math.hypot(max(z.real - lo, hi - z.real), z.imag) / _up(scale)
+    return G <= 1.0 + 2.0**-52 or (
+        reach > 1.0 and (8 * MAX_WINDOW + 1 - E) * math.log(G) * (1.0 + 1e-9) < math.log(reach))
 
 
 def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, float, float]:
@@ -493,8 +504,9 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
     E starts at MIN_WINDOW and doubles while z is in a cluster of E
     (d <= 0, or c >= 2**1023) or J > 8E (z hugging a cluster, or a scale
     growing slowly), up to MAX_WINDOW.  There, for |b| = 1, every scale is
-    past 1e2000; for |b| > 1 the plan is made as at any other E, and a
-    failed one is the window-cap error.
+    past 1e2000.  For |b| > 1 the plan there is made as at any other E, up
+    to J = 8 MAX_WINDOW, and the minus scale may grow slowly: before the
+    tables grow, `_out_of_reach` refuses a plan that no later edge makes.
     """
     half = tol / 2
     s = half ** (-1 / m)
@@ -511,23 +523,32 @@ def _plan_window(kern: _Kernel, z: complex, m: int, tol: float) -> tuple[int, fl
             neg, pos = _up(0.0) if neg_d > 0.0 else math.inf, _up(0.0) if pos_d > 0.0 else math.inf
             if neg <= half and pos <= half:
                 return E, neg, pos
-            raise _window_cap(neg, pos, tol)
-        if neg_d > 0.0 and pos_d > 0.0:
-            neg_c, pos_c = s * neg_gamma / neg_d, s * pos_gamma / pos_d
-            if (len(mags) >= E + 3 and nmags[-3] >= neg_c and mags[-3] >= pos_c) or kern.grow(neg_c, pos_c, E):
-                J = bisect.bisect_left(nmags, neg_c, E + neg_shift) - neg_shift
-                K = bisect.bisect_left(mags, pos_c, E + pos_shift) - pos_shift
-                if K > J:
-                    J = K
-                if J <= 8 * E:
-                    neg_p, pos_p = (neg_c / nmags[J + neg_shift]) ** m, (pos_c / mags[J + pos_shift]) ** m
-                    neg, pos = half * neg_p, half * pos_p
-                    if neg_p < _TINY or pos_p < _TINY or neg < _TINY or pos < _TINY:
-                        neg, pos = _up(half * _up(neg_p)), _up(half * _up(pos_p))
-                    return J, neg, pos
-        if E >= MAX_WINDOW:
             raise ToleranceUnreachable(
-                f"window cap {MAX_WINDOW} hit: no window up to J = {8 * E} has side tails <= {tol:.1e}/2")
+                f"window cap {MAX_WINDOW} hit with side tails ({neg:.3e}, {pos:.3e}) > {tol:.1e}/2")
+        neg_c, pos_c = (s * neg_gamma / neg_d if neg_d > 0.0 else math.inf,
+                        s * pos_gamma / pos_d if pos_d > 0.0 else math.inf)
+        ready = len(mags) >= E + 3 and nmags[-3] >= neg_c and mags[-3] >= pos_c
+        if not ready:
+            if nmags is not mags:
+                kern.grow(E + 1)
+                if _out_of_reach(nmags[E], neg_lo, neg_hi, z, s, E):
+                    raise _no_window(tol)
+            ready = neg_c < 2.0**1023 and pos_c < 2.0**1023
+            if ready:
+                kern.grow(E + 3, 8 * E + 3, neg_c, pos_c)
+        if ready:
+            J = bisect.bisect_left(nmags, neg_c, E + neg_shift) - neg_shift
+            K = bisect.bisect_left(mags, pos_c, E + pos_shift) - pos_shift
+            if K > J:
+                J = K
+            if J <= 8 * E:
+                neg_p, pos_p = (neg_c / nmags[J + neg_shift]) ** m, (pos_c / mags[J + pos_shift]) ** m
+                neg, pos = half * neg_p, half * pos_p
+                if neg_p < _TINY or pos_p < _TINY or neg < _TINY or pos < _TINY:
+                    neg, pos = _up(half * _up(neg_p)), _up(half * _up(pos_p))
+                return J, neg, pos
+        if E >= MAX_WINDOW:
+            raise _no_window(tol)
         E = min(2 * E, MAX_WINDOW)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -600,7 +601,69 @@ def test_window_cap_past_unit_b():
     z = complex(-(5 + 17**0.5) / 4, 0.0)
     with pytest.raises(ToleranceUnreachable) as info:
         evaluate(SeriesSpec(SequenceSpec(5, 2), 4), z, 1e-10, guard_eps=0.0)
-    assert str(info.value) == "window cap 10000 hit: no window up to J = 80000 has side tails <= 1.0e-10/2"
+    assert str(info.value) == "no window up to J = 80000 has side tails <= 1.0e-10/2"
+
+
+def test_huge_slow_spec_is_refused_before_its_tables_grow(capsys):
+    # a = 10**100 + 2, b = +-10**100: |r2| is within 1e-99 of 1, so every
+    # minus growth ratio rounds to 1 and gamma is inf at every edge.  The
+    # refusal comes at the first edge, with a few table entries of about
+    # 330 bits a step, not after filling tables to J = 80000.
+    for b in (10**100, -(10**100)):
+        seq = SequenceSpec(10**100 + 2, b)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceUnreachable) as info:
+                evaluate(SeriesSpec(seq, 2), 0.3 + 0.7j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "no window up to J = 80000 has side tails <= 1.0e-10/2"
+        assert peak < 2_000_000, peak
+        assert len(series._kernel(seq, Variant.STANDARD).mags) == series.MIN_WINDOW + 1
+    code = main(["eval", "--seq", f"lucas-first:{10**100 + 2}:{10**100}", "--uncertified", "--weight", "2",
+                 "--z", "0.3,0.7"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and captured.err.count("\n") == 1
+    # lucas-first:5002:5000 grows by about 1.0002 a step and would need J
+    # near 118000 at 0.3 + 0.7i: refused at the first edge too.
+    seq = SequenceSpec(5002, 5000)
+    with pytest.raises(ToleranceUnreachable):
+        evaluate(SeriesSpec(seq, 2), 0.3 + 0.7j)
+    assert len(series._kernel(seq, Variant.STANDARD).mags) == series.MIN_WINDOW + 1
+
+
+def test_out_of_reach_refuses_only_what_no_edge_plans(monkeypatch):
+    # With windows capped at J = 8 * 64, slowly growing minus scales
+    # (|r2| about 1 - 2/b for (b + 2, b), about 1 - 1/B for (B, -B)) plan
+    # the same window, or end in the same refusal, with the early refusal
+    # of `_out_of_reach` as without it; both outcomes occur.
+    monkeypatch.setattr(series, "MAX_WINDOW", 64)
+    rng = random.Random(31)
+    specs = [SeriesSpec(SequenceSpec(a, b, kind), m)
+             for b in (6, 20, 60, 200) for a, b in ((b + 2, b), (-b - 3, b), (b, -b), (-b, -b))
+             for kind in Kind for m in (2, 5)]
+    outcomes, check = {"plan": 0, "early": 0, "late": 0}, series._out_of_reach
+
+    def plan(spec, z, tol):
+        try:
+            return series._plan_window(series._kernel(spec.seq, spec.variant), z, spec.weight, tol)
+        except ToleranceUnreachable as exc:
+            return str(exc)
+
+    for _ in range(400):
+        spec = rng.choice(specs)
+        z, tol = _corpus_point(rng, spec, (-6, -1)), 10 ** rng.uniform(-13, -6)
+        with monkeypatch.context() as m:
+            m.setattr(series, "_out_of_reach", lambda *args: False)
+            want = plan(spec, z, tol)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(series, "_out_of_reach", lambda *args: calls.append(check(*args)) or calls[-1])
+            got = plan(spec, z, tol)
+        assert got == want, (spec, z, tol)
+        outcomes["plan" if isinstance(got, tuple) else "early" if True in calls else "late"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def _corpus_point(rng, spec, near):
